@@ -13,6 +13,7 @@
 #include "population/four_state.hpp"
 #include "population/k_undecided.hpp"
 #include "population/three_state.hpp"
+#include "sim/event_engine.hpp"
 #include "sim/latency.hpp"
 #include "support/check.hpp"
 #include "support/random.hpp"
@@ -57,34 +58,96 @@ const std::vector<std::string> kFaultKnobs = {
     "fault_straggler_scale", "byzantine_frac",
     "byzantine_policy"};
 
-const std::vector<std::string> kFaultExtraNames = {
-    "faults_injected",  "messages_lost", "messages_duplicated",
-    "messages_corrupted", "messages_delayed", "crash_skips",
-    "nodes_crashed",    "byzantine_nodes"};
-
 std::vector<std::string> with_fault_knobs(std::vector<std::string> knobs) {
     knobs.insert(knobs.end(), kFaultKnobs.begin(), kFaultKnobs.end());
     return knobs;
 }
 
-std::vector<std::string> with_fault_extras(std::vector<std::string> names) {
-    names.insert(names.end(), kFaultExtraNames.begin(),
-                 kFaultExtraNames.end());
-    return names;
+/// The fault tallies of one run, whatever the family.
+struct FaultTally {
+    fault::FaultCounters counters;
+    std::uint64_t nodes_crashed = 0;
+    std::uint64_t byzantine_nodes = 0;
+};
+
+// ------------------------------------------------------------------ extras
+//
+// One visit_extras overload per result struct declares its extras: it
+// calls emit(key, value) once per key. Both the extras map of a run and
+// the ProtocolInfo name list derive from it, so each key is spelled once.
+
+template <typename Emit>
+void visit_extras(const FaultTally& r, Emit&& emit) {
+    emit("faults_injected", r.counters.total());
+    emit("messages_lost", r.counters.lost);
+    emit("messages_duplicated", r.counters.duplicated);
+    emit("messages_corrupted", r.counters.corrupted);
+    emit("messages_delayed", r.counters.delayed);
+    emit("crash_skips", r.counters.crash_skips);
+    emit("nodes_crashed", r.nodes_crashed);
+    emit("byzantine_nodes", r.byzantine_nodes);
 }
 
-void add_fault_extras(std::map<std::string, double>& extras,
-                      const fault::FaultCounters& counters,
-                      std::uint64_t nodes_crashed,
-                      std::uint64_t byzantine_nodes) {
-    extras["faults_injected"] = static_cast<double>(counters.total());
-    extras["messages_lost"] = static_cast<double>(counters.lost);
-    extras["messages_duplicated"] = static_cast<double>(counters.duplicated);
-    extras["messages_corrupted"] = static_cast<double>(counters.corrupted);
-    extras["messages_delayed"] = static_cast<double>(counters.delayed);
-    extras["crash_skips"] = static_cast<double>(counters.crash_skips);
-    extras["nodes_crashed"] = static_cast<double>(nodes_crashed);
-    extras["byzantine_nodes"] = static_cast<double>(byzantine_nodes);
+template <typename Emit>
+void visit_extras(const sim::EventCounters& r, Emit&& emit) {
+    emit("ticks", r.ticks);
+    emit("exchanges", r.exchanges);
+    emit("two_choices", r.two_choices_count);
+    emit("propagation", r.propagation_count);
+    emit("final_top_generation", r.final_top_generation);
+    emit("signals_delivered", r.signals_delivered);
+    emit("leader_peak_load", r.leader_peak_load);
+    emit("events_processed", r.events_processed);
+    emit("windows", r.windows);
+    emit("window_stragglers", r.window_stragglers);
+    // Byzantine reporting is a sampling-layer fault; the event-driven
+    // families have no sampled-state channel to lie on, so the count is
+    // structurally zero there.
+    visit_extras(FaultTally{r.faults, r.nodes_crashed, 0}, emit);
+}
+
+template <typename Emit>
+void visit_extras(const async::AsyncResult& r, Emit&& emit) {
+    emit("good_ticks", r.good_ticks);
+    emit("refreshes", r.refresh_count);
+    emit("steps_per_unit", r.steps_per_unit);
+    emit("channels_opened", r.channels_opened);
+    visit_extras(static_cast<const sim::EventCounters&>(r), emit);
+}
+
+template <typename Emit>
+void visit_extras(const async::ValidatedResult& r, Emit&& emit) {
+    emit("commits", r.commits);
+    emit("aborts", r.aborts);
+    emit("abort_rate", r.abort_rate);
+    visit_extras(r.base, emit);
+}
+
+template <typename Emit>
+void visit_extras(const cluster::MultiLeaderResult& r, Emit&& emit) {
+    emit("clustering_time", r.clustering_time);
+    emit("active_clusters", r.clustering.num_active);
+    emit("fraction_clustered", r.clustering.fraction_clustered);
+    emit("finished_fraction", r.finished_fraction);
+    emit("finished_adoptions", r.finished_adoptions);
+    emit("total_time", r.total_time());
+    visit_extras(static_cast<const sim::EventCounters&>(r), emit);
+}
+
+template <typename Result>
+std::map<std::string, double> extras_of(const Result& result) {
+    std::map<std::string, double> extras;
+    visit_extras(result, [&](const char* key, auto value) {
+        extras[key] = static_cast<double>(value);
+    });
+    return extras;
+}
+
+template <typename Result>
+std::vector<std::string> extra_names() {
+    std::vector<std::string> names;
+    visit_extras(Result(), [&](const char* key, auto) { names.emplace_back(key); });
+    return names;
 }
 
 // ------------------------------------------------------------- sync family
@@ -123,11 +186,11 @@ ScenarioResult run_sync_family(const Scenario& s, std::uint64_t seed,
 
     ScenarioResult out;
     out.run = sync::run_to_consensus(*dynamics, rng, options);
-    fault::FaultCounters counters;
-    counters.crash_skips = dynamics->fault_crash_skips();
-    add_fault_extras(out.extras, counters,
-                     injector ? injector->nodes_crashed() : 0,
-                     injector ? injector->byzantine_count() : 0);
+    FaultTally tally;
+    tally.counters.crash_skips = dynamics->fault_crash_skips();
+    tally.nodes_crashed = injector ? injector->nodes_crashed() : 0;
+    tally.byzantine_nodes = injector ? injector->byzantine_count() : 0;
+    out.extras = extras_of(tally);
     return out;
 }
 
@@ -135,40 +198,6 @@ ScenarioResult run_sync_family(const Scenario& s, std::uint64_t seed,
 
 const std::uint64_t kPopulationWorkloadSalt = 0xB00;
 const std::uint64_t kPopulationRunSalt = 0xB1;
-
-population::PopulationRunOptions population_options(const Scenario& s) {
-    population::PopulationRunOptions options;
-    options.max_interactions = s.max_steps;
-    options.record_every =
-        s.record_series
-            ? (s.record_every > 0 ? s.record_every : s.n)
-            : 0;
-    options.epsilon = s.epsilon;
-    options.plurality = 0;
-    return options;
-}
-
-/// Stack-frame bundle wiring one population run to the fault layer: the
-/// plan plus the scheduler's out-params, folded into extras afterwards.
-struct PopulationFaultHook {
-    fault::FaultPlan plan;
-    fault::FaultCounters counters;
-    std::uint64_t crashed = 0;
-    std::uint64_t byzantine = 0;
-
-    explicit PopulationFaultHook(const Scenario& s) : plan(fault_plan(s)) {}
-
-    void attach(population::PopulationRunOptions& options) {
-        options.fault = &plan;
-        options.fault_counters = &counters;
-        options.nodes_crashed = &crashed;
-        options.byzantine_nodes = &byzantine;
-    }
-
-    void fill(std::map<std::string, double>& extras) const {
-        add_fault_extras(extras, counters, crashed, byzantine);
-    }
-};
 
 /// Per-opinion counts of the workload assignment (the population protocols
 /// take counts, not per-node vectors; the node shuffle is irrelevant to
@@ -180,6 +209,39 @@ std::vector<std::size_t> workload_counts(const Scenario& s,
     std::vector<std::size_t> counts(s.k, 0);
     for (const Opinion opinion : assignment.opinions) ++counts[opinion];
     return counts;
+}
+
+/// Registers one population protocol: `make(counts)` builds it from the
+/// workload's per-opinion counts, and `final_value(protocol)` reads its
+/// one family extra, `final_name`, after the run.
+template <typename Make, typename Final>
+void register_population(ProtocolRegistry& registry, ProtocolInfo info,
+                         const char* final_name, Make make, Final final_value) {
+    info.extra_metrics = extra_names<FaultTally>();
+    info.extra_metrics.insert(info.extra_metrics.begin(), final_name);
+    registry.register_protocol(
+        std::move(info), [=](const Scenario& s, std::uint64_t seed) {
+            auto protocol = make(workload_counts(s, seed));
+            Rng rng(derive_seed(seed, kPopulationRunSalt));
+            population::PopulationRunOptions options;
+            options.max_interactions = s.max_steps;
+            options.record_every =
+                s.record_series ? (s.record_every > 0 ? s.record_every : s.n)
+                                : 0;
+            options.epsilon = s.epsilon;
+            options.plurality = 0;
+            const fault::FaultPlan plan = fault_plan(s);
+            FaultTally tally;
+            options.fault = &plan;
+            options.fault_counters = &tally.counters;
+            options.nodes_crashed = &tally.nodes_crashed;
+            options.byzantine_nodes = &tally.byzantine_nodes;
+            ScenarioResult out;
+            out.run = population::run_population(protocol, rng, options);
+            out.extras = extras_of(tally);
+            out.extras[final_name] = static_cast<double>(final_value(protocol));
+            return out;
+        });
 }
 
 // ------------------------------------------------------------ async family
@@ -198,38 +260,6 @@ async::AsyncConfig async_config_from(const Scenario& s) {
     config.fault = fault_plan(s);
     return config;
 }
-
-std::map<std::string, double> async_extras(const async::AsyncResult& r) {
-    std::map<std::string, double> extras = {
-        {"ticks", static_cast<double>(r.ticks)},
-        {"good_ticks", static_cast<double>(r.good_ticks)},
-        {"exchanges", static_cast<double>(r.exchanges)},
-        {"two_choices", static_cast<double>(r.two_choices_count)},
-        {"propagation", static_cast<double>(r.propagation_count)},
-        {"refreshes", static_cast<double>(r.refresh_count)},
-        {"final_top_generation", static_cast<double>(r.final_top_generation)},
-        {"steps_per_unit", r.steps_per_unit},
-        {"channels_opened", static_cast<double>(r.channels_opened)},
-        {"signals_delivered", static_cast<double>(r.signals_delivered)},
-        {"leader_peak_load", r.leader_peak_load},
-        {"events_processed", static_cast<double>(r.events_processed)},
-        {"windows", static_cast<double>(r.windows)},
-        {"window_stragglers", static_cast<double>(r.window_stragglers)},
-    };
-    // Byzantine reporting is a sampling-layer fault; the event-driven
-    // families have no sampled-state channel to lie on, so the count is
-    // structurally zero there.
-    add_fault_extras(extras, r.faults, r.nodes_crashed, 0);
-    return extras;
-}
-
-const std::vector<std::string> kAsyncExtraNames = with_fault_extras({
-    "ticks",          "good_ticks",        "exchanges",
-    "two_choices",    "propagation",       "refreshes",
-    "final_top_generation", "steps_per_unit", "channels_opened",
-    "signals_delivered", "leader_peak_load", "events_processed",
-    "windows", "window_stragglers",
-});
 
 // ---------------------------------------------------------- cluster family
 
@@ -258,7 +288,7 @@ void register_builtins(ProtocolRegistry& registry) {
     const std::vector<std::string> event_knobs = with_fault_knobs(
         {"lambda", "max-time", "sample-interval", "queue", "threads",
          "window"});
-    const std::vector<std::string> sync_extras = with_fault_extras({});
+    const std::vector<std::string> sync_extras = extra_names<FaultTally>();
 
     // --- synchronous round dynamics -------------------------------------
     registry.register_protocol(
@@ -267,7 +297,7 @@ void register_builtins(ProtocolRegistry& registry) {
                      with_fault_knobs(
                          {"gamma", "threads", "max-steps", "record-every"}),
                      sync_extras,
-                     2, 0},
+                     2, 0, 2, /*needs_n_above_k=*/true},
         [](const Scenario& s, std::uint64_t seed) {
             return run_sync_family(
                 s, seed,
@@ -344,73 +374,47 @@ void register_builtins(ProtocolRegistry& registry) {
         });
 
     // --- population protocols -------------------------------------------
-    registry.register_protocol(
+    register_population(
+        registry,
         ProtocolInfo{"pp-3-state", "population",
-                     "3-state approximate majority [AAE08]",
-                     population_knobs,
-                     with_fault_extras({"blank_final"}),
-                     2, 2},
-        [](const Scenario& s, std::uint64_t seed) {
-            const std::vector<std::size_t> counts = workload_counts(s, seed);
-            population::ThreeStateMajority protocol(counts[0], counts[1]);
-            Rng rng(derive_seed(seed, kPopulationRunSalt));
-            PopulationFaultHook hook(s);
-            population::PopulationRunOptions options = population_options(s);
-            hook.attach(options);
-            ScenarioResult out;
-            out.run = population::run_population(protocol, rng, options);
-            out.extras = {
-                {"blank_final", static_cast<double>(protocol.count_blank())}};
-            hook.fill(out.extras);
-            return out;
-        });
-    registry.register_protocol(
+                     "3-state approximate majority [AAE08]", population_knobs,
+                     {}, 2, 2},
+        "blank_final",
+        [](const std::vector<std::size_t>& counts) {
+            return population::ThreeStateMajority(counts[0], counts[1]);
+        },
+        [](const population::ThreeStateMajority& p) { return p.count_blank(); });
+    register_population(
+        registry,
         ProtocolInfo{"pp-4-state", "population",
-                     "4-state exact majority [DV10, MNRS14]",
-                     population_knobs,
-                     with_fault_extras({"strong_difference"}),
-                     2, 2},
-        [](const Scenario& s, std::uint64_t seed) {
-            const std::vector<std::size_t> counts = workload_counts(s, seed);
-            population::FourStateExactMajority protocol(counts[0], counts[1]);
-            Rng rng(derive_seed(seed, kPopulationRunSalt));
-            PopulationFaultHook hook(s);
-            population::PopulationRunOptions options = population_options(s);
-            hook.attach(options);
-            ScenarioResult out;
-            out.run = population::run_population(protocol, rng, options);
-            out.extras = {{"strong_difference",
-                           static_cast<double>(protocol.strong_difference())}};
-            hook.fill(out.extras);
-            return out;
+                     "4-state exact majority [DV10, MNRS14]", population_knobs,
+                     {}, 2, 2},
+        "strong_difference",
+        [](const std::vector<std::size_t>& counts) {
+            return population::FourStateExactMajority(counts[0], counts[1]);
+        },
+        [](const population::FourStateExactMajority& p) {
+            return p.strong_difference();
         });
-    registry.register_protocol(
+    register_population(
+        registry,
         ProtocolInfo{"pp-undecided", "population",
                      "k-opinion undecided-state population protocol [BCN+15]",
-                     population_knobs,
-                     with_fault_extras({"undecided_final"}),
-                     2, 0},
-        [](const Scenario& s, std::uint64_t seed) {
-            const std::vector<std::size_t> counts = workload_counts(s, seed);
-            population::KUndecided protocol(counts);
-            Rng rng(derive_seed(seed, kPopulationRunSalt));
-            PopulationFaultHook hook(s);
-            population::PopulationRunOptions options = population_options(s);
-            hook.attach(options);
-            ScenarioResult out;
-            out.run = population::run_population(protocol, rng, options);
-            out.extras = {
-                {"undecided_final",
-                 static_cast<double>(protocol.undecided_count())}};
-            hook.fill(out.extras);
-            return out;
-        });
+                     population_knobs, {}, 2, 0},
+        "undecided_final",
+        [](const std::vector<std::size_t>& counts) {
+            return population::KUndecided(counts);
+        },
+        [](const population::KUndecided& p) { return p.undecided_count(); });
 
     // --- asynchronous single-leader family ------------------------------
+    // Every event protocol sizes its generations by the closed-form G*,
+    // which needs n > max(2, k).
     registry.register_protocol(
         ProtocolInfo{"async", "async",
                      "asynchronous single-leader protocol (Algorithms 2+3)",
-                     event_knobs, kAsyncExtraNames, 2, 0},
+                     event_knobs, extra_names<async::AsyncResult>(), 2, 0, 2,
+                     true},
         [](const Scenario& s, std::uint64_t seed) {
             // Same seed salts as async::run_single_leader, so the biased
             // workload reproduces it bit-for-bit (pinned by the api tests).
@@ -419,21 +423,21 @@ void register_builtins(ProtocolRegistry& registry) {
             async::SingleLeaderSimulation simulation(
                 assignment, async_config_from(s), derive_seed(seed, 0x51));
             const async::AsyncResult r = simulation.run();
-            return ScenarioResult{r, async_extras(r)};
+            return ScenarioResult{r, extras_of(r)};
         });
     registry.register_protocol(
         ProtocolInfo{"sequential", "async",
                      "sequentialized single-leader reference (instant channels)",
                      with_fault_knobs(
                          {"max-time", "sample-interval", "window"}),
-                     kAsyncExtraNames, 2, 0},
+                     extra_names<async::AsyncResult>(), 2, 0, 2, true},
         [](const Scenario& s, std::uint64_t seed) {
             Rng workload_rng(derive_seed(seed, 0xA553));
             const Assignment assignment = build_assignment(s, workload_rng);
             async::SequentialSingleLeaderSimulation simulation(
                 assignment, async_config_from(s), derive_seed(seed, 0x53));
             const async::AsyncResult r = simulation.run();
-            return ScenarioResult{r, async_extras(r)};
+            return ScenarioResult{r, extras_of(r)};
         });
     registry.register_protocol(
         ProtocolInfo{"validated", "async",
@@ -442,13 +446,7 @@ void register_builtins(ProtocolRegistry& registry) {
                      with_fault_knobs(
                          {"lambda", "msg-rate", "max-time",
                           "sample-interval", "queue", "threads", "window"}),
-                     [] {
-                         std::vector<std::string> names = kAsyncExtraNames;
-                         names.insert(names.end(),
-                                      {"commits", "aborts", "abort_rate"});
-                         return names;
-                     }(),
-                     2, 0},
+                     extra_names<async::ValidatedResult>(), 2, 0, 2, true},
         [](const Scenario& s, std::uint64_t seed) {
             Rng workload_rng(derive_seed(seed, 0xA552));
             const Assignment assignment = build_assignment(s, workload_rng);
@@ -458,27 +456,16 @@ void register_builtins(ProtocolRegistry& registry) {
                 sim::make_exponential_latency(s.msg_rate),
                 derive_seed(seed, 0x52));
             const async::ValidatedResult r = simulation.run();
-            ScenarioResult out{r.base, async_extras(r.base)};
-            out.extras["commits"] = static_cast<double>(r.commits);
-            out.extras["aborts"] = static_cast<double>(r.aborts);
-            out.extras["abort_rate"] = r.abort_rate;
-            return out;
+            return ScenarioResult{r.base, extras_of(r)};
         });
 
     // --- decentralized multi-leader protocol ----------------------------
+    // The clustering phase needs at least 16 nodes.
     registry.register_protocol(
         ProtocolInfo{"multi", "cluster",
                      "decentralized multi-leader protocol (Algorithms 4+5)",
-                     event_knobs,
-                     with_fault_extras(
-                         {"clustering_time", "active_clusters",
-                          "fraction_clustered", "finished_fraction", "ticks",
-                          "exchanges", "two_choices", "propagation",
-                          "finished_adoptions", "final_top_generation",
-                          "signals_delivered", "leader_peak_load",
-                          "total_time", "events_processed", "windows",
-                          "window_stragglers"}),
-                     2, 0},
+                     event_knobs, extra_names<cluster::MultiLeaderResult>(), 2,
+                     0, 16, true},
         [](const Scenario& s, std::uint64_t seed) {
             // Same seed salts as cluster::run_multi_leader (bit-identical
             // for the biased workload).
@@ -492,33 +479,7 @@ void register_builtins(ProtocolRegistry& registry) {
                 assignment, std::move(clustering), config,
                 derive_seed(seed, 0xC1A2));
             const cluster::MultiLeaderResult r = simulation.run();
-            ScenarioResult out;
-            out.run = r;
-            out.extras = {
-                {"clustering_time", r.clustering_time},
-                {"active_clusters",
-                 static_cast<double>(r.clustering.num_active)},
-                {"fraction_clustered", r.clustering.fraction_clustered},
-                {"finished_fraction", r.finished_fraction},
-                {"ticks", static_cast<double>(r.ticks)},
-                {"exchanges", static_cast<double>(r.exchanges)},
-                {"two_choices", static_cast<double>(r.two_choices_count)},
-                {"propagation", static_cast<double>(r.propagation_count)},
-                {"finished_adoptions",
-                 static_cast<double>(r.finished_adoptions)},
-                {"final_top_generation",
-                 static_cast<double>(r.final_top_generation)},
-                {"signals_delivered",
-                 static_cast<double>(r.signals_delivered)},
-                {"leader_peak_load", r.leader_peak_load},
-                {"total_time", r.total_time()},
-                {"events_processed", static_cast<double>(r.events_processed)},
-                {"windows", static_cast<double>(r.windows)},
-                {"window_stragglers",
-                 static_cast<double>(r.window_stragglers)},
-            };
-            add_fault_extras(out.extras, r.faults, r.nodes_crashed, 0);
-            return out;
+            return ScenarioResult{r, extras_of(r)};
         });
 }
 
@@ -584,6 +545,18 @@ std::vector<std::string> ProtocolRegistry::check(
             std::to_string(info->min_k) + ", " +
             (info->max_k > 0 ? std::to_string(info->max_k) : "inf") +
             "], got " + std::to_string(scenario.k));
+    }
+    if (scenario.n < info->min_n) {
+        problems.push_back("protocol '" + info->name + "' requires n >= " +
+                           std::to_string(info->min_n) + ", got " +
+                           std::to_string(scenario.n));
+    }
+    if (info->needs_n_above_k &&
+        scenario.n <= std::max<std::size_t>(2, scenario.k)) {
+        problems.push_back("protocol '" + info->name +
+                           "' requires n > max(2, k), got n = " +
+                           std::to_string(scenario.n) + ", k = " +
+                           std::to_string(scenario.k));
     }
     return problems;
 }

@@ -49,11 +49,16 @@ struct ProtocolInfo {
     /// two-opinion population protocols set both to 2.
     std::uint32_t min_k = 2;
     std::uint32_t max_k = 0;
+    /// Smallest population the protocol runs on.
+    std::size_t min_n = 2;
+    /// The protocol sizes its generations by the closed-form G*
+    /// (analysis::total_generations), which needs n > max(2, k).
+    bool needs_n_above_k = false;
 };
 
 /// Outcome of one scenario run: the unified result plus the family extras
-/// flattened into named metrics (e.g. "exchanges", "abort_rate",
-/// "clustering_time").
+/// flattened into named metrics (e.g. `exchanges`, `abort_rate`,
+/// `clustering_time`).
 struct ScenarioResult {
     core::RunResult run;
     std::map<std::string, double> extras;
@@ -84,7 +89,7 @@ public:
                                      std::uint64_t seed) const;
 
     /// Full validation for front ends: scenario knob problems
-    /// (api::validate) plus protocol existence and k-range.
+    /// (api::validate) plus protocol existence and the k and n ranges.
     [[nodiscard]] std::vector<std::string> check(
         const Scenario& scenario) const;
 

@@ -81,6 +81,17 @@ struct AsyncConfig {
     /// Shard count of the windowed executor (0 = default). Like `window`,
     /// part of the trajectory; unlike `threads`, never auto-scaled.
     std::size_t event_shards = 0;
+
+    /// `fault` with the leader_failure_time shim spliced in as a scheduled
+    /// crash of fault::kLeaderNode — the plan the engines run with.
+    [[nodiscard]] fault::FaultPlan effective_fault() const {
+        fault::FaultPlan plan = fault;
+        if (leader_failure_time >= 0.0) {
+            plan.scheduled_crashes.push_back(
+                fault::CrashEntry{fault::kLeaderNode, leader_failure_time});
+        }
+        return plan;
+    }
 };
 
 }  // namespace papc::async

@@ -1,220 +1,143 @@
 #include "async/sequential_simulation.hpp"
 
-#include <cmath>
-
-#include "analysis/theory.hpp"
-#include "core/observer.hpp"
-#include "sim/windowed_executor.hpp"
 #include "support/check.hpp"
 
 namespace papc::async {
 
 SequentialSingleLeaderSimulation::SequentialSingleLeaderSimulation(
     const Assignment& assignment, const AsyncConfig& config, std::uint64_t seed)
-    : config_(config),
-      rng_(seed),
-      census_(assignment.size(), assignment.num_opinions) {
-    PAPC_CHECK(assignment.size() >= 2);
-    const std::size_t n = assignment.size();
-    nodes_.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-        nodes_[v].col = assignment.opinions[v];
-        nodes_[v].gen = 0;
-        nodes_[v].locked = false;
-        nodes_[v].seen_gen = 1;
-        nodes_[v].seen_prop = false;
-    }
-    census_.reset(assignment.opinions);
-    plurality_ = census_.pooled_stats().dominant;
-}
+    : EventEngine(assignment, seed),
+      config_(config),
+      nodes_(initial_nodes(assignment)) {}
 
 SequentialSingleLeaderSimulation::~SequentialSingleLeaderSimulation() = default;
 
-bool SequentialSingleLeaderSimulation::advance() {
-    if (executor_->empty()) return false;
+std::size_t SequentialSingleLeaderSimulation::message_copies(
+    Shard& shard, Generation* payload) {
+    if (!msg_faults_on_) return 1;
+    const fault::MessageFate fate = injector()->draw_fate(fault_rng_);
+    fault::FaultCounters& faults = shard.counters.faults;
+    if (fate.drop) {
+        ++faults.lost;
+        return 0;
+    }
+    if (fate.corrupt && payload != nullptr) {
+        ++faults.corrupted;
+        *payload = static_cast<Generation>(1 + fault_rng_.uniform_index(*payload));
+    }
+    if (fate.duplicate) {
+        ++faults.duplicated;
+        return 2;
+    }
+    return 1;
+}
+
+void SequentialSingleLeaderSimulation::on_event(Context& ctx, Shard& shard,
+                                                double t, NodeId& /*unused*/) {
+    // Sequentialization: the next tick anywhere in the system is an Exp(n)
+    // race won by a uniformly random node drawn after the race —
+    // memorylessness makes the winner independent of the race time. One
+    // shard, so everything below is serial and may read/write live state
+    // directly.
     const std::size_t n = nodes_.size();
     const double nd = static_cast<double>(n);
-    const bool ran = executor_->run_window(
-        [&](sim::WindowedExecutor<NodeId>::ShardContext& ctx, double t,
-            NodeId& /*unused*/) {
-            // Sequentialization: the next tick anywhere in the system is an
-            // Exp(n) race won by a uniformly random node drawn after the
-            // race — memorylessness makes the winner independent of the
-            // race time. One shard, so everything below is serial and may
-            // read/write live state directly.
-            Rng& rng = ctx.rng();
-            const auto v_id = static_cast<NodeId>(rng.uniform_index(n));
-            NodeState& v = nodes_[v_id];
-            ++result_.ticks;
-            // A crashed node's tick races but acts on nothing.
-            if (crash_on_ && injector_->is_down(v_id, t)) {
-                ++result_.faults.crash_skips;
-                ctx.emit(0, t + rng.exponential(nd), 0);
-                return;
-            }
-            ++result_.good_ticks;  // channels are instant: every tick is good
+    Rng& rng = ctx.rng();
+    const auto v_id = static_cast<NodeId>(rng.uniform_index(n));
+    NodeState& v = nodes_[v_id];
+    ++shard.counters.ticks;
+    // A crashed node's tick races but acts on nothing.
+    if (node_down(v_id, t)) {
+        ++shard.counters.faults.crash_skips;
+        ctx.emit(0, t + rng.exponential(nd), 0);
+        return;
+    }
+    ++shard.model.good_ticks;  // channels are instant: every tick is good
 
-            // Line 1: the 0-signal arrives instantly. Channels are
-            // instant, so a straggler multiplier has nothing to stretch;
-            // loss and duplication still apply.
-            std::size_t zero_copies = 1;
-            if (msg_faults_on_) {
-                const fault::MessageFate fate = injector_->draw_fate(fault_rng_);
-                if (fate.drop) {
-                    ++result_.faults.lost;
-                    zero_copies = 0;
-                } else if (fate.duplicate) {
-                    ++result_.faults.duplicated;
-                    zero_copies = 2;
-                }
-            }
-            for (; zero_copies > 0; --zero_copies) {
-                ++result_.signals_delivered;
-                if (injector_ == nullptr || !injector_->leader_down(t)) {
-                    leader_->on_zero_signal(t);
-                }
-            }
+    // Line 1: the 0-signal arrives instantly. Channels are instant, so a
+    // straggler multiplier has nothing to stretch; loss and duplication
+    // still apply.
+    for (std::size_t copies = message_copies(shard, nullptr); copies > 0;
+         --copies) {
+        ++shard.counters.signals_delivered;
+        if (!leader_down(t)) leader_->on_zero_signal(t);
+    }
 
-            // Lines 3-15 execute atomically at the tick.
-            ++result_.exchanges;
-            auto sample_peer = [&](NodeId self) {
-                return static_cast<NodeId>(rng.uniform_index_excluding(n, self));
-            };
-            const NodeId p1 = sample_peer(v_id);
-            const NodeId p2 = sample_peer(v_id);
-            const ExchangeDecision decision = decide_exchange(
-                v, leader_->gen(), leader_->prop(),
-                PeerSample{nodes_[p1].gen, nodes_[p1].col},
-                PeerSample{nodes_[p2].gen, nodes_[p2].col});
-            const Generation old_gen = v.gen;
-            const Opinion old_col = v.col;
-            const bool changed =
-                apply_decision(v, decision, leader_->gen(), leader_->prop());
-            switch (decision.kind) {
-                case ExchangeDecision::Kind::kTwoChoices:
-                    ++result_.two_choices_count;
-                    break;
-                case ExchangeDecision::Kind::kPropagation:
-                    ++result_.propagation_count;
-                    break;
-                case ExchangeDecision::Kind::kRefreshOnly:
-                    ++result_.refresh_count;
-                    break;
-                case ExchangeDecision::Kind::kNone:
-                    break;
+    // Lines 3-15 execute atomically at the tick.
+    ++shard.counters.exchanges;
+    const auto sample_peer = [&](NodeId self) {
+        return static_cast<NodeId>(rng.uniform_index_excluding(n, self));
+    };
+    const NodeId p1 = sample_peer(v_id);
+    const NodeId p2 = sample_peer(v_id);
+    const ExchangeDecision decision = decide_exchange(
+        v, leader_->gen(), leader_->prop(),
+        PeerSample{nodes_[p1].gen, nodes_[p1].col},
+        PeerSample{nodes_[p2].gen, nodes_[p2].col});
+    const Generation old_gen = v.gen;
+    const Opinion old_col = v.col;
+    const bool changed =
+        apply_decision(v, decision, leader_->gen(), leader_->prop());
+    switch (decision.kind) {
+        case ExchangeDecision::Kind::kTwoChoices:
+            ++shard.counters.two_choices_count;
+            break;
+        case ExchangeDecision::Kind::kPropagation:
+            ++shard.counters.propagation_count;
+            break;
+        case ExchangeDecision::Kind::kRefreshOnly:
+            ++shard.model.refreshes;
+            break;
+        case ExchangeDecision::Kind::kNone:
+            break;
+    }
+    if (changed) {
+        shard.moves.push_back(sim::CensusMove{old_gen, old_col, v.gen, v.col});
+        PAPC_CHECK(v.gen <= leader_->gen());
+        if (decision.send_gen_signal) {
+            Generation sig_gen = v.gen;
+            for (std::size_t copies = message_copies(shard, &sig_gen);
+                 copies > 0; --copies) {
+                ++shard.counters.signals_delivered;
+                if (!leader_down(t)) leader_->on_gen_signal(t, sig_gen);
             }
-            if (changed) {
-                census_.transition(old_gen, old_col, v.gen, v.col);
-                PAPC_CHECK(v.gen <= leader_->gen());
-                if (decision.send_gen_signal) {
-                    Generation sig_gen = v.gen;
-                    std::size_t copies = 1;
-                    if (msg_faults_on_) {
-                        const fault::MessageFate fate =
-                            injector_->draw_fate(fault_rng_);
-                        if (fate.drop) {
-                            ++result_.faults.lost;
-                            copies = 0;
-                        } else {
-                            if (fate.duplicate) {
-                                ++result_.faults.duplicated;
-                                copies = 2;
-                            }
-                            if (fate.corrupt) {
-                                ++result_.faults.corrupted;
-                                sig_gen = static_cast<Generation>(
-                                    1 + fault_rng_.uniform_index(sig_gen));
-                            }
-                        }
-                    }
-                    for (; copies > 0; --copies) {
-                        ++result_.signals_delivered;
-                        if (injector_ == nullptr || !injector_->leader_down(t)) {
-                            leader_->on_gen_signal(t, sig_gen);
-                        }
-                    }
-                }
-            }
-            // Next global race; chains within the window while it lands
-            // before the window end.
-            ctx.emit(0, t + rng.exponential(nd), 0);
-        });
-    now_ = executor_->now();
-    return ran;
+        }
+    }
+    // Next global race; chains within the window while it lands before the
+    // window end.
+    ctx.emit(0, t + rng.exponential(nd), 0);
 }
 
 AsyncResult SequentialSingleLeaderSimulation::run() {
-    PAPC_CHECK(!ran_);
-    ran_ = true;
-
     const std::size_t n = nodes_.size();
+    begin_run(config_.effective_fault(), config_.max_time);
     result_.leader_generation = TimeSeries("leader-generation");
+    if (injector() != nullptr) {
+        msg_faults_on_ = injector()->message_faults_active();
+        fault_rng_ = injector()->serial_stream();
+    }
+
     // With instant channels one full action fits in every tick: a "time
     // unit" collapses to one time step.
     result_.steps_per_unit = 1.0;
+    leader_ = std::make_unique<Leader>(leader_config_for(
+        config_, n, census().num_opinions(), result_.steps_per_unit));
 
-    // Fault layer (see async/simulation.cpp): leader_failure_time splices
-    // into the plan; the injector derives via the pure substream.
-    fault::FaultPlan plan = config_.fault;
-    if (config_.leader_failure_time >= 0.0) {
-        plan.scheduled_crashes.push_back(
-            fault::CrashEntry{fault::kLeaderNode, config_.leader_failure_time});
-    }
-    if (plan.active()) {
-        injector_ = std::make_unique<fault::Injector>(plan, n,
-                                                      config_.max_time, rng_);
-        crash_on_ = injector_->crash_active();
-        msg_faults_on_ = injector_->message_faults_active();
-        fault_rng_ = injector_->serial_stream();
-        result_.nodes_crashed = injector_->nodes_crashed();
-    }
-
-    LeaderConfig leader_config;
-    leader_config.zero_signal_threshold = static_cast<std::uint64_t>(
-        std::ceil(config_.two_choices_units * static_cast<double>(n)));
-    leader_config.generation_size_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.generation_size_fraction * static_cast<double>(n)));
-    leader_config.max_generation = analysis::total_generations(
-        std::max(config_.alpha_hint, 1.0 + 1e-9), census_.num_opinions(), n,
-        config_.generation_slack);
-    leader_ = std::make_unique<Leader>(leader_config);
-
-    // One shard: the model is inherently serial (a node atomically reads
-    // arbitrary other nodes at its tick), so the executor degenerates to a
-    // single windowed queue. Threads are forced to 1 — there is nothing to
-    // parallelize, and the window substreams alone pin determinism.
-    sim::WindowedOptions executor_options;
-    executor_options.shards = 1;
-    executor_options.threads = 1;
-    executor_options.window = config_.window;
-    executor_options.lambda = config_.lambda;
-    executor_options.queue_kind = config_.queue_kind;
-    executor_options.reserve_hint = 2;
-    executor_ = std::make_unique<sim::WindowedExecutor<NodeId>>(
-        n, executor_options, rng_.split());
-
+    // Serial: a node atomically reads arbitrary other nodes at its tick, so
+    // the executor degenerates to one windowed queue on one thread; the
+    // window substreams alone pin determinism.
+    open_executor(config_, 2, /*leaders=*/0, /*serial=*/true);
     // The first global Exp(n) race; the handler keeps exactly one pending.
-    executor_->seed(0, rng_.exponential(static_cast<double>(n)), 0);
-
-    core::EngineOptions run_options;
-    run_options.max_time = config_.max_time;
-    run_options.sample_interval = config_.sample_interval;
-    run_options.record = config_.record_series;
-    run_options.plurality = plurality_;
-    run_options.epsilon = config_.epsilon;
-    core::FunctionObserver observer([this](double time, double) {
+    executor().seed(0, rng().exponential(static_cast<double>(n)), 0);
+    run_events(config_, result_, [this](double time, double) {
         if (config_.record_series) {
             result_.leader_generation.record(
                 time, static_cast<double>(leader_->gen()));
         }
     });
-    static_cast<core::RunResult&>(result_) =
-        core::run(*this, run_options, &observer);
 
-    result_.events_processed = executor_->events_processed();
-    result_.windows = executor_->windows_run();
-    result_.window_stragglers = executor_->stragglers();
-    result_.final_top_generation = census_.highest_populated();
+    const LeaderShardCounters& counters = shards().front().model;
+    result_.good_ticks = counters.good_ticks;
+    result_.refresh_count = counters.refreshes;
     result_.leader_trace = leader_->trace();
     return std::move(result_);
 }

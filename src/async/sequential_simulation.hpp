@@ -16,9 +16,9 @@
 /// Ordering assumptions: the n independent rate-1 clocks collapse into a
 /// single global Exp(n) tick stream whose winner is a uniform node drawn
 /// *after* the race (memorylessness). The engine keeps exactly one pending
-/// tick, so ties are impossible by construction. Since PR 6 that single
-/// pending event lives in a one-shard windowed executor
-/// (sim/windowed_executor.hpp): the model is inherently serial — every
+/// tick, so ties are impossible by construction. That single pending
+/// event lives in a one-shard executor of the shared event skeleton
+/// (sim/event_engine.hpp): the model is inherently serial — every
 /// node may touch every other node atomically at a tick, so there is
 /// nothing to shard — but the window machinery still batches the ticks
 /// falling into each conservative window under one per-window RNG
@@ -27,32 +27,29 @@
 /// always sequential).
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "async/config.hpp"
 #include "async/leader.hpp"
 #include "async/node.hpp"
 #include "async/simulation.hpp"
-#include "core/engine.hpp"
 #include "opinion/assignment.hpp"
-#include "opinion/census.hpp"
+#include "sim/event_engine.hpp"
 #include "support/random.hpp"
-
-namespace papc::sim {
-template <typename Event>
-class WindowedExecutor;
-}  // namespace papc::sim
 
 namespace papc::async {
 
-/// Sequentialized single-leader protocol (no latencies).
-class SequentialSingleLeaderSimulation final : public core::Engine {
+/// Sequentialized single-leader protocol (no latencies). Its one pending
+/// event is the next global race; the payload is unused.
+class SequentialSingleLeaderSimulation final
+    : public sim::EventEngine<SequentialSingleLeaderSimulation, NodeId,
+                              LeaderShardCounters> {
 public:
     SequentialSingleLeaderSimulation(const Assignment& assignment,
                                      const AsyncConfig& config,
                                      std::uint64_t seed);
 
+    /// Out of line: keeps the vtable and the event loop in the .cpp.
     ~SequentialSingleLeaderSimulation() override;
 
     /// Runs to full consensus (or config.max_time). The AsyncResult's
@@ -61,42 +58,27 @@ public:
     /// node completes its action at its tick).
     [[nodiscard]] AsyncResult run();
 
-    // core::Engine driver interface (one window of global ticks per
-    // advance).
-    bool advance() override;
-    [[nodiscard]] double now() const override { return now_; }
-    [[nodiscard]] bool converged() const override { return census_.converged(); }
-    [[nodiscard]] Opinion dominant() const override {
-        return census_.pooled_stats().dominant;
-    }
-    [[nodiscard]] double opinion_fraction(Opinion j) const override {
-        return census_.opinion_fraction(j);
-    }
-
     [[nodiscard]] const Leader& leader() const { return *leader_; }
-    [[nodiscard]] const GenerationCensus& census() const { return census_; }
     [[nodiscard]] const NodeState& node(NodeId v) const { return nodes_[v]; }
 
 private:
-    AsyncConfig config_;
-    /// Fault layer (built in run(); rng_ not advanced — see
-    /// async/simulation.hpp). The model is serial, so message faults draw
-    /// from one run-long serial_stream() held in fault_rng_.
-    std::unique_ptr<fault::Injector> injector_;
-    Rng fault_rng_{0};
-    bool crash_on_ = false;
-    bool msg_faults_on_ = false;
-    Rng rng_;
-    std::vector<NodeState> nodes_;
-    GenerationCensus census_;
-    std::unique_ptr<Leader> leader_;
-    /// One-shard windowed executor holding the single pending global tick
-    /// (payload unused); see the ordering-assumption note above.
-    std::unique_ptr<sim::WindowedExecutor<NodeId>> executor_;
-    Opinion plurality_ = 0;
-    bool ran_ = false;
+    friend EventEngine;
 
-    double now_ = 0.0;
+    [[gnu::always_inline]] inline void on_event(Context& ctx, Shard& shard,
+                                                double t, NodeId& unused);
+    /// Copies of one leader-bound message after the serial fault draw
+    /// (0 = lost, 2 = duplicated). A non-null `payload` (the generation of
+    /// an i-signal) may be corrupted in place; 0-signals pass nullptr.
+    std::size_t message_copies(Shard& shard, Generation* payload);
+
+    AsyncConfig config_;
+    /// The model is serial, so message faults draw from one run-long
+    /// serial stream of the injector instead of the executor's windows.
+    Rng fault_rng_{0};
+    bool msg_faults_on_ = false;
+    std::vector<NodeState> nodes_;
+    std::unique_ptr<Leader> leader_;
+
     AsyncResult result_;
 };
 

@@ -5,32 +5,29 @@
 
 #include "analysis/latency_units.hpp"
 #include "analysis/theory.hpp"
-#include "core/observer.hpp"
-#include "sim/windowed_executor.hpp"
 #include "support/check.hpp"
 
 namespace papc::async {
 
-namespace {
-/// All leader-directed signal events are owned by shard 0; the leader's
-/// mutable state is only ever touched from there.
-constexpr std::size_t kLeaderShard = 0;
-}  // namespace
+LeaderConfig leader_config_for(const AsyncConfig& config, std::size_t n,
+                               std::uint32_t k, double steps_per_unit) {
+    LeaderConfig leader_config;
+    leader_config.zero_signal_threshold = static_cast<std::uint64_t>(std::ceil(
+        config.two_choices_units * steps_per_unit * static_cast<double>(n)));
+    leader_config.generation_size_threshold = static_cast<std::uint64_t>(std::ceil(
+        config.generation_size_fraction * static_cast<double>(n)));
+    leader_config.max_generation = analysis::total_generations(
+        std::max(config.alpha_hint, 1.0 + 1e-9), k, n, config.generation_slack);
+    return leader_config;
+}
 
-enum class AsyncEventKind : std::uint8_t {
-    kTick,        ///< a node's Poisson clock fired
-    kExchange,    ///< a node's three channels are established
-    kZeroSignal,  ///< a 0-signal reaches the leader
-    kGenSignal,   ///< an i-signal reaches the leader
-};
-
-struct AsyncEvent {
-    AsyncEventKind kind = AsyncEventKind::kTick;
-    NodeId node = 0;
-    NodeId peer1 = 0;
-    NodeId peer2 = 0;
-    Generation gen = 0;
-};
+std::vector<NodeState> initial_nodes(const Assignment& assignment) {
+    std::vector<NodeState> nodes(assignment.size());
+    for (NodeId v = 0; v < nodes.size(); ++v) {
+        nodes[v].col = assignment.opinions[v];
+    }
+    return nodes;
+}
 
 SingleLeaderSimulation::SingleLeaderSimulation(const Assignment& assignment,
                                                const AsyncConfig& config,
@@ -41,39 +38,14 @@ SingleLeaderSimulation::SingleLeaderSimulation(const Assignment& assignment,
 SingleLeaderSimulation::SingleLeaderSimulation(
     const Assignment& assignment, const AsyncConfig& config,
     std::unique_ptr<sim::LatencyModel> latency, std::uint64_t seed)
-    : config_(config),
+    : EventEngine(assignment, seed),
+      config_(config),
       latency_(std::move(latency)),
-      rng_(seed),
-      census_(assignment.size(), assignment.num_opinions) {
-    PAPC_CHECK(assignment.size() >= 2);
+      nodes_(initial_nodes(assignment)) {
     PAPC_CHECK(latency_ != nullptr);
-
-    const std::size_t n = assignment.size();
-    nodes_.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-        nodes_[v].col = assignment.opinions[v];
-        nodes_[v].gen = 0;
-        nodes_[v].locked = false;
-        nodes_[v].seen_gen = 1;     // leader's initial public state
-        nodes_[v].seen_prop = false;
-    }
-    census_.reset(assignment.opinions);
-    plurality_ = census_.pooled_stats().dominant;
 }
 
 SingleLeaderSimulation::~SingleLeaderSimulation() = default;
-
-void SingleLeaderSimulation::record_leader_signal(double time) {
-    ++leader_signals_;
-    const auto bucket = static_cast<std::int64_t>(time);
-    if (bucket != load_bucket_) {
-        result_.leader_peak_load =
-            std::max(result_.leader_peak_load, static_cast<double>(load_count_));
-        load_bucket_ = bucket;
-        load_count_ = 0;
-    }
-    ++load_count_;
-}
 
 void SingleLeaderSimulation::begin_window() {
     // Peer reads inside the window observe the window-start state: the
@@ -85,252 +57,154 @@ void SingleLeaderSimulation::begin_window() {
     snap_leader_prop_ = leader_->prop();
 }
 
-void SingleLeaderSimulation::commit_window() {
-    // Census moves merge in shard order on the driving thread; counters
-    // stay in the shard scratch until the end of the run.
-    for (ShardScratch& scratch : scratch_) {
-        for (const CensusMove& move : scratch.moves) {
-            census_.transition(move.old_gen, move.old_col, move.new_gen,
-                               move.new_col);
+void SingleLeaderSimulation::on_event(Context& ctx, Shard& shard, double t,
+                                      AsyncEvent& ev) {
+    Rng& rng = ctx.rng();
+    const auto sample_peer = [&](NodeId self) {
+        return static_cast<NodeId>(
+            rng.uniform_index_excluding(nodes_.size(), self));
+    };
+    switch (ev.kind) {
+        case AsyncEventKind::kTick: {
+            ++shard.counters.ticks;
+            NodeState& v = nodes_[ev.node];
+            // A crashed node sends nothing and starts nothing, but its
+            // Poisson clock keeps running so it resumes after a recovery
+            // boundary.
+            if (node_down(ev.node, t)) {
+                ++shard.counters.faults.crash_skips;
+                ctx.emit(ctx.shard(), t + rng.exponential(1.0),
+                         AsyncEvent{AsyncEventKind::kTick, ev.node, 0, 0, 0});
+                break;
+            }
+            // Line 1: 0-signal to the leader — fire and forget, but the
+            // signal itself travels one latency draw.
+            ctx.emit_message(leader_shard(kLeader), t, t + latency_->sample(rng),
+                             AsyncEvent{AsyncEventKind::kZeroSignal, 0, 0, 0, 0});
+            // Line 2: locked nodes do nothing else at this tick.
+            if (!v.locked) {
+                v.locked = true;
+                ++shard.model.good_ticks;
+                shard.model.channels_opened += 3;
+                // Lines 3-4: open two peer channels concurrently, then the
+                // leader channel: max(T2,T2) + T2.
+                const double peer_a = latency_->sample(rng);
+                const double peer_b = latency_->sample(rng);
+                const double to_leader = latency_->sample(rng);
+                const double ready = t + std::max(peer_a, peer_b) + to_leader;
+                ctx.emit(ctx.shard(), ready,
+                         AsyncEvent{AsyncEventKind::kExchange, ev.node,
+                                    sample_peer(ev.node), sample_peer(ev.node),
+                                    0});
+            }
+            // Next Poisson tick (stays on the node's own shard).
+            ctx.emit(ctx.shard(), t + rng.exponential(1.0),
+                     AsyncEvent{AsyncEventKind::kTick, ev.node, 0, 0, 0});
+            break;
         }
-        scratch.moves.clear();
-    }
-}
 
-bool SingleLeaderSimulation::advance() {
-    if (executor_->empty()) return false;
-    begin_window();
-    const bool ran = executor_->run_window(
-        [this](sim::WindowedExecutor<AsyncEvent>::ShardContext& ctx, double t,
-               AsyncEvent& ev) {
-            ShardScratch& scratch = scratch_[ctx.shard()];
-            Rng& rng = ctx.rng();
-            const auto sample_peer = [&](NodeId self) {
-                return static_cast<NodeId>(
-                    rng.uniform_index_excluding(nodes_.size(), self));
-            };
-            switch (ev.kind) {
-                case AsyncEventKind::kTick: {
-                    ++scratch.ticks;
-                    NodeState& v = nodes_[ev.node];
-                    // A crashed node sends nothing and starts nothing, but
-                    // its Poisson clock keeps running so it resumes after a
-                    // recovery boundary.
-                    if (crash_on_ && injector_->is_down(ev.node, t)) {
-                        ++scratch.crash_skips;
-                        ctx.emit(ctx.shard(), t + rng.exponential(1.0),
-                                 AsyncEvent{AsyncEventKind::kTick, ev.node, 0,
-                                            0, 0});
-                        break;
-                    }
-                    // Line 1: 0-signal to the leader — fire and forget, but
-                    // the signal itself travels one latency draw.
-                    ctx.emit_message(
-                        kLeaderShard, t, t + latency_->sample(rng),
-                        AsyncEvent{AsyncEventKind::kZeroSignal, 0, 0, 0, 0});
-                    // Line 2: locked nodes do nothing else at this tick.
-                    if (!v.locked) {
-                        v.locked = true;
-                        ++scratch.good_ticks;
-                        scratch.channels_opened += 3;
-                        // Lines 3-4: open two peer channels concurrently,
-                        // then the leader channel: max(T2,T2) + T2.
-                        const double peer_a = latency_->sample(rng);
-                        const double peer_b = latency_->sample(rng);
-                        const double to_leader = latency_->sample(rng);
-                        const double ready =
-                            t + std::max(peer_a, peer_b) + to_leader;
-                        ctx.emit(ctx.shard(), ready,
-                                 AsyncEvent{AsyncEventKind::kExchange, ev.node,
-                                            sample_peer(ev.node),
-                                            sample_peer(ev.node), 0});
-                    }
-                    // Next Poisson tick (stays on the node's own shard).
-                    ctx.emit(ctx.shard(), t + rng.exponential(1.0),
-                             AsyncEvent{AsyncEventKind::kTick, ev.node, 0, 0, 0});
+        case AsyncEventKind::kExchange: {
+            NodeState& v = nodes_[ev.node];
+            PAPC_CHECK(v.locked);
+            // A node that crashed while its channels were opening
+            // completes nothing: unlock and move on.
+            if (node_down(ev.node, t)) {
+                ++shard.counters.faults.crash_skips;
+                v.locked = false;
+                break;
+            }
+            ++shard.counters.exchanges;
+            // Peers and leader are read from the window-start snapshots
+            // (see begin_window()).
+            const NodeState& p1 = nodes_snap_[ev.peer1];
+            const NodeState& p2 = nodes_snap_[ev.peer2];
+            const PeerSample s1{p1.gen, p1.col};
+            const PeerSample s2{p2.gen, p2.col};
+            const Generation old_gen = v.gen;
+            const Opinion old_col = v.col;
+            const ExchangeDecision decision = decide_exchange(
+                v, snap_leader_gen_, snap_leader_prop_, s1, s2);
+            const bool changed = apply_decision(v, decision, snap_leader_gen_,
+                                                snap_leader_prop_);
+            switch (decision.kind) {
+                case ExchangeDecision::Kind::kTwoChoices:
+                    ++shard.counters.two_choices_count;
                     break;
-                }
-
-                case AsyncEventKind::kExchange: {
-                    NodeState& v = nodes_[ev.node];
-                    PAPC_CHECK(v.locked);
-                    // A node that crashed while its channels were opening
-                    // completes nothing: unlock and move on.
-                    if (crash_on_ && injector_->is_down(ev.node, t)) {
-                        ++scratch.crash_skips;
-                        v.locked = false;
-                        break;
-                    }
-                    ++scratch.exchanges;
-                    // Peers and leader are read from the window-start
-                    // snapshots (see begin_window()).
-                    const NodeState& p1 = nodes_snap_[ev.peer1];
-                    const NodeState& p2 = nodes_snap_[ev.peer2];
-                    const PeerSample s1{p1.gen, p1.col};
-                    const PeerSample s2{p2.gen, p2.col};
-                    const Generation old_gen = v.gen;
-                    const Opinion old_col = v.col;
-                    const ExchangeDecision decision = decide_exchange(
-                        v, snap_leader_gen_, snap_leader_prop_, s1, s2);
-                    const bool changed = apply_decision(
-                        v, decision, snap_leader_gen_, snap_leader_prop_);
-                    switch (decision.kind) {
-                        case ExchangeDecision::Kind::kTwoChoices:
-                            ++scratch.two_choices;
-                            break;
-                        case ExchangeDecision::Kind::kPropagation:
-                            ++scratch.propagation;
-                            break;
-                        case ExchangeDecision::Kind::kRefreshOnly:
-                            ++scratch.refresh;
-                            break;
-                        case ExchangeDecision::Kind::kNone:
-                            break;
-                    }
-                    if (changed) {
-                        scratch.moves.push_back(
-                            CensusMove{old_gen, old_col, v.gen, v.col});
-                        // Invariant: never beyond the leader's generation
-                        // (the snapshot is a lower bound of the live one).
-                        PAPC_CHECK(v.gen <= snap_leader_gen_);
-                        if (decision.send_gen_signal) {
-                            // Corruption rewrites the generation payload
-                            // downward into [1, gen] — an adversarially
-                            // garbled but protocol-legal signal.
-                            ctx.emit_message(
-                                kLeaderShard, t, t + latency_->sample(rng),
-                                AsyncEvent{AsyncEventKind::kGenSignal, 0, 0,
-                                           0, v.gen},
-                                [](Rng& fault_rng, AsyncEvent& msg) {
-                                    msg.gen = static_cast<Generation>(
-                                        1 + fault_rng.uniform_index(msg.gen));
-                                });
-                        }
-                    }
-                    v.locked = false;  // line 15
+                case ExchangeDecision::Kind::kPropagation:
+                    ++shard.counters.propagation_count;
                     break;
-                }
-
-                case AsyncEventKind::kZeroSignal:
-                    record_leader_signal(t);
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_zero_signal(t);
-                    }
+                case ExchangeDecision::Kind::kRefreshOnly:
+                    ++shard.model.refreshes;
                     break;
-
-                case AsyncEventKind::kGenSignal:
-                    record_leader_signal(t);
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_gen_signal(t, ev.gen);
-                    }
+                case ExchangeDecision::Kind::kNone:
                     break;
             }
-        });
-    commit_window();
-    now_ = executor_->now();
-    return ran;
+            if (changed) {
+                shard.moves.push_back(
+                    sim::CensusMove{old_gen, old_col, v.gen, v.col});
+                // Invariant: never beyond the leader's generation (the
+                // snapshot is a lower bound of the live one).
+                PAPC_CHECK(v.gen <= snap_leader_gen_);
+                if (decision.send_gen_signal) {
+                    // Corruption rewrites the generation payload downward
+                    // into [1, gen] — an adversarially garbled but
+                    // protocol-legal signal.
+                    ctx.emit_message(
+                        leader_shard(kLeader), t, t + latency_->sample(rng),
+                        AsyncEvent{AsyncEventKind::kGenSignal, 0, 0, 0, v.gen},
+                        [](Rng& fault_rng, AsyncEvent& msg) {
+                            msg.gen = static_cast<Generation>(
+                                1 + fault_rng.uniform_index(msg.gen));
+                        });
+                }
+            }
+            v.locked = false;  // line 15
+            break;
+        }
+
+        case AsyncEventKind::kZeroSignal:
+            record_leader_signal(shard, kLeader, t);
+            if (!leader_down(t)) leader_->on_zero_signal(t);
+            break;
+
+        case AsyncEventKind::kGenSignal:
+            record_leader_signal(shard, kLeader, t);
+            if (!leader_down(t)) leader_->on_gen_signal(t, ev.gen);
+            break;
+    }
 }
 
 AsyncResult SingleLeaderSimulation::run() {
-    PAPC_CHECK(!ran_);
-    ran_ = true;
-
     const std::size_t n = nodes_.size();
+    begin_run(config_.effective_fault(), config_.max_time);
     result_.leader_generation = TimeSeries("leader-generation");
-
-    // Fault layer: splice the deprecated leader_failure_time knob into the
-    // plan as a scheduled leader crash, then build the injector from the
-    // run generator's *current* state via the pure substream — rng_ is not
-    // advanced, so the splits and draws below are byte-identical to a
-    // fault-free run when the plan is inactive.
-    fault::FaultPlan plan = config_.fault;
-    if (config_.leader_failure_time >= 0.0) {
-        plan.scheduled_crashes.push_back(
-            fault::CrashEntry{fault::kLeaderNode, config_.leader_failure_time});
-    }
-    if (plan.active()) {
-        injector_ = std::make_unique<fault::Injector>(plan, n,
-                                                      config_.max_time, rng_);
-        crash_on_ = injector_->crash_active();
-        result_.nodes_crashed = injector_->nodes_crashed();
-    }
 
     // Measure C1 = F^{-1}(0.9) of T3 for this latency model (Monte Carlo;
     // deterministic given the seed).
-    Rng c1_rng = rng_.split();
-    const double steps_per_unit =
+    Rng c1_rng = rng().split();
+    result_.steps_per_unit =
         analysis::t3_quantile_monte_carlo(*latency_, 0.9, 20000, c1_rng);
-    result_.steps_per_unit = steps_per_unit;
+    leader_ = std::make_unique<Leader>(leader_config_for(
+        config_, n, census().num_opinions(), result_.steps_per_unit));
 
-    // Leader thresholds: C3·n 0-signals span `two_choices_units` time units
-    // (Proposition 16); the generation-size gate is ⌈fraction·n⌉.
-    LeaderConfig leader_config;
-    leader_config.zero_signal_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.two_choices_units * steps_per_unit * static_cast<double>(n)));
-    leader_config.generation_size_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.generation_size_fraction * static_cast<double>(n)));
-    leader_config.max_generation = analysis::total_generations(
-        std::max(config_.alpha_hint, 1.0 + 1e-9), census_.num_opinions(), n,
-        config_.generation_slack);
-    leader_ = std::make_unique<Leader>(leader_config);
-
-    // Windowed executor: pending events stay near 2 per node (next tick +
-    // in-flight exchange/signal).
-    sim::WindowedOptions executor_options;
-    executor_options.shards = config_.event_shards;
-    executor_options.threads = config_.threads;
-    executor_options.window = config_.window;
-    executor_options.lambda = config_.lambda;
-    executor_options.queue_kind = config_.queue_kind;
-    executor_options.reserve_hint = 2 * n;
-    executor_options.injector = injector_.get();
-    executor_ = std::make_unique<sim::WindowedExecutor<AsyncEvent>>(
-        n, executor_options, rng_.split());
-    scratch_.resize(executor_->num_shards());
-
-    // Initial ticks.
-    for (NodeId v = 0; v < n; ++v) {
-        executor_->seed(executor_->shard_of(v), rng_.exponential(1.0),
-                        AsyncEvent{AsyncEventKind::kTick, v, 0, 0, 0});
-    }
-
-    core::EngineOptions run_options;
-    run_options.max_time = config_.max_time;
-    run_options.sample_interval = config_.sample_interval;
-    run_options.record = config_.record_series;
-    run_options.plurality = plurality_;
-    run_options.epsilon = config_.epsilon;
-    core::FunctionObserver observer([this](double time, double) {
+    // Pending events stay near 2 per node (next tick + in-flight
+    // exchange/signal).
+    open_executor(config_, 2 * n, /*leaders=*/1);
+    seed_ticks([](NodeId v) {
+        return AsyncEvent{AsyncEventKind::kTick, v, 0, 0, 0};
+    });
+    run_events(config_, result_, [this](double time, double) {
         if (config_.record_series) {
             result_.leader_generation.record(
                 time, static_cast<double>(leader_->gen()));
         }
     });
-    static_cast<core::RunResult&>(result_) =
-        core::run(*this, run_options, &observer);
 
-    for (const ShardScratch& scratch : scratch_) {
-        result_.ticks += scratch.ticks;
-        result_.good_ticks += scratch.good_ticks;
-        result_.exchanges += scratch.exchanges;
-        result_.two_choices_count += scratch.two_choices;
-        result_.propagation_count += scratch.propagation;
-        result_.refresh_count += scratch.refresh;
-        result_.channels_opened += scratch.channels_opened;
-        result_.faults.crash_skips += scratch.crash_skips;
+    for (const Shard& shard : shards()) {
+        result_.good_ticks += shard.model.good_ticks;
+        result_.refresh_count += shard.model.refreshes;
+        result_.channels_opened += shard.model.channels_opened;
     }
-    const fault::FaultCounters& mf = executor_->fault_counters();
-    result_.faults.lost = mf.lost;
-    result_.faults.duplicated = mf.duplicated;
-    result_.faults.corrupted = mf.corrupted;
-    result_.faults.delayed = mf.delayed;
-    result_.signals_delivered = leader_signals_;
-    result_.leader_peak_load =
-        std::max(result_.leader_peak_load, static_cast<double>(load_count_));
-    result_.events_processed = executor_->events_processed();
-    result_.windows = executor_->windows_run();
-    result_.window_stragglers = executor_->stragglers();
-    result_.final_top_generation = census_.highest_populated();
     result_.leader_trace = leader_->trace();
     return std::move(result_);
 }

@@ -4,60 +4,20 @@
 #include <cmath>
 
 #include "analysis/latency_units.hpp"
-#include "analysis/theory.hpp"
-#include "core/observer.hpp"
-#include "sim/windowed_executor.hpp"
 #include "support/check.hpp"
 
 namespace papc::async {
-
-namespace {
-constexpr std::size_t kLeaderShard = 0;
-}  // namespace
-
-enum class ValidatedEventKind : std::uint8_t {
-    kTick,
-    kSnapshot,    ///< channels + first message round done: read states
-    kValidate,    ///< validation round-trip done: commit or abort
-    kZeroSignal,
-    kGenSignal,
-};
-
-struct ValidatedEvent {
-    ValidatedEventKind kind = ValidatedEventKind::kTick;
-    NodeId node = 0;
-    NodeId peer1 = 0;
-    NodeId peer2 = 0;
-    Generation gen = 0;        ///< kGenSignal payload
-    // kValidate payload: the tentative decision and the leader snapshot it
-    // was computed against.
-    ExchangeDecision decision{};
-    Generation snap_gen = 0;
-    bool snap_prop = false;
-};
 
 ValidatedSingleLeaderSimulation::ValidatedSingleLeaderSimulation(
     const Assignment& assignment, const AsyncConfig& config,
     std::unique_ptr<sim::LatencyModel> channel,
     std::unique_ptr<sim::LatencyModel> message, std::uint64_t seed)
-    : config_(config),
+    : EventEngine(assignment, seed),
+      config_(config),
       channel_(std::move(channel)),
       message_(std::move(message)),
-      rng_(seed),
-      census_(assignment.size(), assignment.num_opinions) {
-    PAPC_CHECK(assignment.size() >= 2);
+      nodes_(initial_nodes(assignment)) {
     PAPC_CHECK(channel_ != nullptr && message_ != nullptr);
-    const std::size_t n = assignment.size();
-    nodes_.resize(n);
-    for (NodeId v = 0; v < n; ++v) {
-        nodes_[v].col = assignment.opinions[v];
-        nodes_[v].gen = 0;
-        nodes_[v].locked = false;
-        nodes_[v].seen_gen = 1;
-        nodes_[v].seen_prop = false;
-    }
-    census_.reset(assignment.opinions);
-    plurality_ = census_.pooled_stats().dominant;
 }
 
 ValidatedSingleLeaderSimulation::~ValidatedSingleLeaderSimulation() = default;
@@ -68,280 +28,201 @@ void ValidatedSingleLeaderSimulation::begin_window() {
     snap_leader_prop_ = leader_->prop();
 }
 
-void ValidatedSingleLeaderSimulation::commit_window() {
-    for (ShardScratch& scratch : scratch_) {
-        for (const CensusMove& move : scratch.moves) {
-            census_.transition(move.old_gen, move.old_col, move.new_gen,
-                               move.new_col);
+void ValidatedSingleLeaderSimulation::on_event(Context& ctx, Shard& shard,
+                                               double t, ValidatedEvent& ev) {
+    Rng& rng = ctx.rng();
+    const auto sample_peer = [&](NodeId self) {
+        return static_cast<NodeId>(
+            rng.uniform_index_excluding(nodes_.size(), self));
+    };
+    // A signal needs a channel plus one message crossing.
+    const auto signal_delay = [&] {
+        return channel_->sample(rng) + message_->sample(rng);
+    };
+    switch (ev.kind) {
+        case ValidatedEventKind::kTick: {
+            ++shard.counters.ticks;
+            NodeState& v = nodes_[ev.node];
+            if (node_down(ev.node, t)) {
+                ++shard.counters.faults.crash_skips;
+                ValidatedEvent next;
+                next.kind = ValidatedEventKind::kTick;
+                next.node = ev.node;
+                ctx.emit(ctx.shard(), t + rng.exponential(1.0), next);
+                break;
+            }
+            {
+                ValidatedEvent sig;
+                sig.kind = ValidatedEventKind::kZeroSignal;
+                ctx.emit_message(leader_shard(kLeader), t, t + signal_delay(),
+                                 sig);
+            }
+            if (!v.locked) {
+                v.locked = true;
+                ++shard.model.good_ticks;
+                const double establish =
+                    std::max(channel_->sample(rng),
+                             channel_->sample(rng)) +
+                    channel_->sample(rng);
+                const double first_round =
+                    2.0 * message_->sample(rng);  // request + reply
+                ValidatedEvent snap;
+                snap.kind = ValidatedEventKind::kSnapshot;
+                snap.node = ev.node;
+                snap.peer1 = sample_peer(ev.node);
+                snap.peer2 = sample_peer(ev.node);
+                ctx.emit(ctx.shard(), t + establish + first_round, snap);
+            }
+            ValidatedEvent next;
+            next.kind = ValidatedEventKind::kTick;
+            next.node = ev.node;
+            ctx.emit(ctx.shard(), t + rng.exponential(1.0), next);
+            break;
         }
-        scratch.moves.clear();
-    }
-}
 
-bool ValidatedSingleLeaderSimulation::advance() {
-    if (executor_->empty()) return false;
-    begin_window();
-    const bool ran = executor_->run_window(
-        [this](sim::WindowedExecutor<ValidatedEvent>::ShardContext& ctx,
-               double t, ValidatedEvent& ev) {
-            ShardScratch& scratch = scratch_[ctx.shard()];
-            Rng& rng = ctx.rng();
-            const auto sample_peer = [&](NodeId self) {
-                return static_cast<NodeId>(
-                    rng.uniform_index_excluding(nodes_.size(), self));
-            };
-            // A signal needs a channel plus one message crossing.
-            const auto signal_delay = [&] {
-                return channel_->sample(rng) + message_->sample(rng);
-            };
-            switch (ev.kind) {
-                case ValidatedEventKind::kTick: {
-                    ++scratch.ticks;
-                    NodeState& v = nodes_[ev.node];
-                    if (crash_on_ && injector_->is_down(ev.node, t)) {
-                        ++scratch.crash_skips;
-                        ValidatedEvent next;
-                        next.kind = ValidatedEventKind::kTick;
-                        next.node = ev.node;
-                        ctx.emit(ctx.shard(), t + rng.exponential(1.0), next);
-                        break;
-                    }
-                    {
-                        ValidatedEvent sig;
-                        sig.kind = ValidatedEventKind::kZeroSignal;
-                        ctx.emit_message(kLeaderShard, t, t + signal_delay(),
-                                         sig);
-                    }
-                    if (!v.locked) {
-                        v.locked = true;
-                        ++scratch.good_ticks;
-                        const double establish =
-                            std::max(channel_->sample(rng),
-                                     channel_->sample(rng)) +
-                            channel_->sample(rng);
-                        const double first_round =
-                            2.0 * message_->sample(rng);  // request + reply
-                        ValidatedEvent snap;
-                        snap.kind = ValidatedEventKind::kSnapshot;
-                        snap.node = ev.node;
-                        snap.peer1 = sample_peer(ev.node);
-                        snap.peer2 = sample_peer(ev.node);
-                        ctx.emit(ctx.shard(), t + establish + first_round, snap);
-                    }
-                    ValidatedEvent next;
-                    next.kind = ValidatedEventKind::kTick;
-                    next.node = ev.node;
-                    ctx.emit(ctx.shard(), t + rng.exponential(1.0), next);
-                    break;
-                }
-
-                case ValidatedEventKind::kSnapshot: {
-                    NodeState& v = nodes_[ev.node];
-                    PAPC_CHECK(v.locked);
-                    if (crash_on_ && injector_->is_down(ev.node, t)) {
-                        ++scratch.crash_skips;
-                        v.locked = false;
-                        break;
-                    }
-                    ++scratch.exchanges;
-                    const NodeState& p1 = nodes_snap_[ev.peer1];
-                    const NodeState& p2 = nodes_snap_[ev.peer2];
-                    const ExchangeDecision decision = decide_exchange(
-                        v, snap_leader_gen_, snap_leader_prop_,
-                        PeerSample{p1.gen, p1.col}, PeerSample{p2.gen, p2.col});
-                    switch (decision.kind) {
-                        case ExchangeDecision::Kind::kRefreshOnly:
-                            ++scratch.refresh;
-                            (void)apply_decision(v, decision, snap_leader_gen_,
-                                                 snap_leader_prop_);
-                            v.locked = false;
-                            break;
-                        case ExchangeDecision::Kind::kNone:
-                            v.locked = false;
-                            break;
-                        case ExchangeDecision::Kind::kTwoChoices:
-                        case ExchangeDecision::Kind::kPropagation: {
-                            // Two-phase commit: validate against the leader
-                            // before applying (§5).
-                            ValidatedEvent val;
-                            val.kind = ValidatedEventKind::kValidate;
-                            val.node = ev.node;
-                            val.decision = decision;
-                            val.snap_gen = snap_leader_gen_;
-                            val.snap_prop = snap_leader_prop_;
-                            const double validation =
-                                channel_->sample(rng) +
-                                2.0 * message_->sample(rng);
-                            ctx.emit(ctx.shard(), t + validation, val);
-                            break;
-                        }
-                    }
-                    break;
-                }
-
-                case ValidatedEventKind::kValidate: {
-                    NodeState& v = nodes_[ev.node];
-                    PAPC_CHECK(v.locked);
-                    if (crash_on_ && injector_->is_down(ev.node, t)) {
-                        ++scratch.crash_skips;
-                        v.locked = false;
-                        break;
-                    }
-                    if (snap_leader_gen_ == ev.snap_gen &&
-                        snap_leader_prop_ == ev.snap_prop) {
-                        // Leader unchanged between the two window
-                        // snapshots: commit.
-                        const Generation old_gen = v.gen;
-                        const Opinion old_col = v.col;
-                        const bool changed =
-                            apply_decision(v, ev.decision, snap_leader_gen_,
-                                           snap_leader_prop_);
-                        if (changed) {
-                            ++scratch.commits;
-                            if (ev.decision.kind ==
-                                ExchangeDecision::Kind::kTwoChoices) {
-                                ++scratch.two_choices;
-                            } else {
-                                ++scratch.propagation;
-                            }
-                            scratch.moves.push_back(
-                                CensusMove{old_gen, old_col, v.gen, v.col});
-                            PAPC_CHECK(v.gen <= snap_leader_gen_);
-                            if (ev.decision.send_gen_signal) {
-                                ValidatedEvent sig;
-                                sig.kind = ValidatedEventKind::kGenSignal;
-                                sig.gen = v.gen;
-                                ctx.emit_message(
-                                    kLeaderShard, t, t + signal_delay(), sig,
-                                    [](Rng& fault_rng, ValidatedEvent& msg) {
-                                        msg.gen = static_cast<Generation>(
-                                            1 +
-                                            fault_rng.uniform_index(msg.gen));
-                                    });
-                            }
-                        }
-                    } else {
-                        // Leader moved on: abort and refresh stored state.
-                        ++scratch.aborts;
-                        v.seen_gen = snap_leader_gen_;
-                        v.seen_prop = snap_leader_prop_;
-                    }
+        case ValidatedEventKind::kSnapshot: {
+            NodeState& v = nodes_[ev.node];
+            PAPC_CHECK(v.locked);
+            if (node_down(ev.node, t)) {
+                ++shard.counters.faults.crash_skips;
+                v.locked = false;
+                break;
+            }
+            ++shard.counters.exchanges;
+            const NodeState& p1 = nodes_snap_[ev.peer1];
+            const NodeState& p2 = nodes_snap_[ev.peer2];
+            const ExchangeDecision decision = decide_exchange(
+                v, snap_leader_gen_, snap_leader_prop_,
+                PeerSample{p1.gen, p1.col}, PeerSample{p2.gen, p2.col});
+            switch (decision.kind) {
+                case ExchangeDecision::Kind::kRefreshOnly:
+                    ++shard.model.refreshes;
+                    (void)apply_decision(v, decision, snap_leader_gen_,
+                                         snap_leader_prop_);
                     v.locked = false;
                     break;
+                case ExchangeDecision::Kind::kNone:
+                    v.locked = false;
+                    break;
+                case ExchangeDecision::Kind::kTwoChoices:
+                case ExchangeDecision::Kind::kPropagation: {
+                    // Two-phase commit: validate against the leader
+                    // before applying (§5).
+                    ValidatedEvent val;
+                    val.kind = ValidatedEventKind::kValidate;
+                    val.node = ev.node;
+                    val.decision = decision;
+                    val.snap_gen = snap_leader_gen_;
+                    val.snap_prop = snap_leader_prop_;
+                    const double validation =
+                        channel_->sample(rng) +
+                        2.0 * message_->sample(rng);
+                    ctx.emit(ctx.shard(), t + validation, val);
+                    break;
                 }
-
-                case ValidatedEventKind::kZeroSignal:
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_zero_signal(t);
-                    }
-                    break;
-
-                case ValidatedEventKind::kGenSignal:
-                    if (injector_ == nullptr || !injector_->leader_down(t)) {
-                        leader_->on_gen_signal(t, ev.gen);
-                    }
-                    break;
             }
-        });
-    commit_window();
-    now_ = executor_->now();
-    return ran;
+            break;
+        }
+
+        case ValidatedEventKind::kValidate: {
+            NodeState& v = nodes_[ev.node];
+            PAPC_CHECK(v.locked);
+            if (node_down(ev.node, t)) {
+                ++shard.counters.faults.crash_skips;
+                v.locked = false;
+                break;
+            }
+            if (snap_leader_gen_ == ev.snap_gen &&
+                snap_leader_prop_ == ev.snap_prop) {
+                // Leader unchanged between the two window
+                // snapshots: commit.
+                const Generation old_gen = v.gen;
+                const Opinion old_col = v.col;
+                const bool changed =
+                    apply_decision(v, ev.decision, snap_leader_gen_,
+                                   snap_leader_prop_);
+                if (changed) {
+                    ++shard.model.commits;
+                    if (ev.decision.kind ==
+                        ExchangeDecision::Kind::kTwoChoices) {
+                        ++shard.counters.two_choices_count;
+                    } else {
+                        ++shard.counters.propagation_count;
+                    }
+                    shard.moves.push_back(
+                        sim::CensusMove{old_gen, old_col, v.gen, v.col});
+                    PAPC_CHECK(v.gen <= snap_leader_gen_);
+                    if (ev.decision.send_gen_signal) {
+                        ValidatedEvent sig;
+                        sig.kind = ValidatedEventKind::kGenSignal;
+                        sig.gen = v.gen;
+                        ctx.emit_message(
+                            leader_shard(kLeader), t, t + signal_delay(), sig,
+                            [](Rng& fault_rng, ValidatedEvent& msg) {
+                                msg.gen = static_cast<Generation>(
+                                    1 +
+                                    fault_rng.uniform_index(msg.gen));
+                            });
+                    }
+                }
+            } else {
+                // Leader moved on: abort and refresh stored state.
+                ++shard.model.aborts;
+                v.seen_gen = snap_leader_gen_;
+                v.seen_prop = snap_leader_prop_;
+            }
+            v.locked = false;
+            break;
+        }
+
+        case ValidatedEventKind::kZeroSignal:
+            record_leader_signal(shard, kLeader, t);
+            if (!leader_down(t)) leader_->on_zero_signal(t);
+            break;
+
+        case ValidatedEventKind::kGenSignal:
+            record_leader_signal(shard, kLeader, t);
+            if (!leader_down(t)) leader_->on_gen_signal(t, ev.gen);
+            break;
+    }
 }
 
 ValidatedResult ValidatedSingleLeaderSimulation::run() {
-    PAPC_CHECK(!ran_);
-    ran_ = true;
-
     const std::size_t n = nodes_.size();
-    result_.base.leader_generation = TimeSeries("leader-generation");
-
-    // Fault layer (see async/simulation.cpp): leader_failure_time splices
-    // into the plan; the injector derives via the pure substream.
-    fault::FaultPlan plan = config_.fault;
-    if (config_.leader_failure_time >= 0.0) {
-        plan.scheduled_crashes.push_back(
-            fault::CrashEntry{fault::kLeaderNode, config_.leader_failure_time});
-    }
-    if (plan.active()) {
-        injector_ = std::make_unique<fault::Injector>(plan, n,
-                                                      config_.max_time, rng_);
-        crash_on_ = injector_->crash_active();
-        result_.base.nodes_crashed = injector_->nodes_crashed();
-    }
+    begin_run(config_.effective_fault(), config_.max_time);
+    AsyncResult& base = result_.base;
+    base.leader_generation = TimeSeries("leader-generation");
 
     // One full cycle now includes two message round-trips and the
     // validation channel; measure C1 for this composition (Monte Carlo;
     // deterministic given the seed).
-    Rng c1_rng = rng_.split();
-    const double steps_per_unit = analysis::validated_cycle_quantile_monte_carlo(
+    Rng c1_rng = rng().split();
+    base.steps_per_unit = analysis::validated_cycle_quantile_monte_carlo(
         *channel_, *message_, 0.9, 20000, c1_rng);
-    result_.base.steps_per_unit = steps_per_unit;
+    leader_ = std::make_unique<Leader>(leader_config_for(
+        config_, n, census().num_opinions(), base.steps_per_unit));
 
-    LeaderConfig leader_config;
-    leader_config.zero_signal_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.two_choices_units * steps_per_unit * static_cast<double>(n)));
-    leader_config.generation_size_threshold = static_cast<std::uint64_t>(std::ceil(
-        config_.generation_size_fraction * static_cast<double>(n)));
-    leader_config.max_generation = analysis::total_generations(
-        std::max(config_.alpha_hint, 1.0 + 1e-9), census_.num_opinions(), n,
-        config_.generation_slack);
-    leader_ = std::make_unique<Leader>(leader_config);
-
-    sim::WindowedOptions executor_options;
-    executor_options.shards = config_.event_shards;
-    executor_options.threads = config_.threads;
-    executor_options.window = config_.window;
-    executor_options.lambda = config_.lambda;
-    executor_options.queue_kind = config_.queue_kind;
-    executor_options.reserve_hint = 2 * n;
-    executor_options.injector = injector_.get();
-    executor_ = std::make_unique<sim::WindowedExecutor<ValidatedEvent>>(
-        n, executor_options, rng_.split());
-    scratch_.resize(executor_->num_shards());
-
-    for (NodeId v = 0; v < n; ++v) {
+    open_executor(config_, 2 * n, /*leaders=*/1);
+    seed_ticks([](NodeId v) {
         ValidatedEvent tick;
         tick.kind = ValidatedEventKind::kTick;
         tick.node = v;
-        executor_->seed(executor_->shard_of(v), rng_.exponential(1.0), tick);
-    }
-
-    core::EngineOptions run_options;
-    run_options.max_time = config_.max_time;
-    run_options.sample_interval = config_.sample_interval;
-    run_options.record = config_.record_series;
-    run_options.plurality = plurality_;
-    run_options.epsilon = config_.epsilon;
-    core::FunctionObserver observer([this](double time, double) {
+        return tick;
+    });
+    run_events(config_, base, [this](double time, double) {
         if (config_.record_series) {
             result_.base.leader_generation.record(
                 time, static_cast<double>(leader_->gen()));
         }
     });
-    static_cast<core::RunResult&>(result_.base) =
-        core::run(*this, run_options, &observer);
 
-    for (const ShardScratch& scratch : scratch_) {
-        result_.base.ticks += scratch.ticks;
-        result_.base.good_ticks += scratch.good_ticks;
-        result_.base.exchanges += scratch.exchanges;
-        result_.base.two_choices_count += scratch.two_choices;
-        result_.base.propagation_count += scratch.propagation;
-        result_.base.refresh_count += scratch.refresh;
-        result_.commits += scratch.commits;
-        result_.aborts += scratch.aborts;
-        result_.base.faults.crash_skips += scratch.crash_skips;
+    for (const Shard& shard : shards()) {
+        base.good_ticks += shard.model.good_ticks;
+        base.refresh_count += shard.model.refreshes;
+        result_.commits += shard.model.commits;
+        result_.aborts += shard.model.aborts;
     }
-    const fault::FaultCounters& mf = executor_->fault_counters();
-    result_.base.faults.lost = mf.lost;
-    result_.base.faults.duplicated = mf.duplicated;
-    result_.base.faults.corrupted = mf.corrupted;
-    result_.base.faults.delayed = mf.delayed;
-    result_.base.events_processed = executor_->events_processed();
-    result_.base.windows = executor_->windows_run();
-    result_.base.window_stragglers = executor_->stragglers();
-    result_.base.final_top_generation = census_.highest_populated();
-    result_.base.leader_trace = leader_->trace();
+    base.leader_trace = leader_->trace();
     const std::uint64_t attempts = result_.commits + result_.aborts;
     result_.abort_rate =
         attempts == 0 ? 0.0

@@ -27,12 +27,12 @@
 /// Aborts preserve the §3.2 interleaving invariants under message delays;
 /// bench/exp_exchange_latency measures their cost.
 ///
-/// Since PR 6 the event loop runs on the sharded windowed executor (see
-/// async/simulation.hpp for the shared porting notes): one advance() =
-/// one conservative window, peer/leader reads go through window-start
-/// snapshots (the t2/t3 leader states the commit rule compares are the
-/// snapshots of the windows containing t2 and t3), and fixed-seed results
-/// are bit-identical at every thread count.
+/// It runs on the shared event skeleton (sim/event_engine.hpp, which holds
+/// the porting notes common to every event model): one advance() is one
+/// conservative window, and peer/leader reads go through window-start
+/// snapshots — the t2/t3 leader states the commit rule compares are the
+/// snapshots of the windows containing t2 and t3. Fixed-seed results are
+/// bit-identical at every thread count.
 
 #include <cstdint>
 #include <memory>
@@ -42,16 +42,10 @@
 #include "async/leader.hpp"
 #include "async/node.hpp"
 #include "async/simulation.hpp"
-#include "core/engine.hpp"
 #include "opinion/assignment.hpp"
-#include "opinion/census.hpp"
+#include "sim/event_engine.hpp"
 #include "sim/latency.hpp"
 #include "support/random.hpp"
-
-namespace papc::sim {
-template <typename Event>
-class WindowedExecutor;
-}  // namespace papc::sim
 
 namespace papc::async {
 
@@ -63,12 +57,32 @@ struct ValidatedResult {
     double abort_rate = 0.0;          ///< aborts / (commits + aborts)
 };
 
-/// One event of the validated simulation (defined in the .cpp).
-struct ValidatedEvent;
+enum class ValidatedEventKind : std::uint8_t {
+    kTick,
+    kSnapshot,    ///< channels + first message round done: read states
+    kValidate,    ///< validation round-trip done: commit or abort
+    kZeroSignal,
+    kGenSignal,
+};
+
+struct ValidatedEvent {
+    ValidatedEventKind kind = ValidatedEventKind::kTick;
+    NodeId node = 0;
+    NodeId peer1 = 0;
+    NodeId peer2 = 0;
+    Generation gen = 0;        ///< kGenSignal payload
+    // kValidate payload: the tentative decision and the leader snapshot it
+    // was computed against.
+    ExchangeDecision decision{};
+    Generation snap_gen = 0;
+    bool snap_prop = false;
+};
 
 /// Single-leader protocol under channel latencies T2 *and* per-message
 /// latencies T4, with leader-validated commits (§5).
-class ValidatedSingleLeaderSimulation final : public core::Engine {
+class ValidatedSingleLeaderSimulation final
+    : public sim::EventEngine<ValidatedSingleLeaderSimulation, ValidatedEvent,
+                              LeaderShardCounters> {
 public:
     /// `channel` models T2 (establishment), `message` models T4 (one
     /// message over an established channel). Both are owned.
@@ -78,70 +92,31 @@ public:
                                     std::unique_ptr<sim::LatencyModel> message,
                                     std::uint64_t seed);
 
+    /// Out of line: keeps the vtable and the event loop in the .cpp.
     ~ValidatedSingleLeaderSimulation() override;
 
     [[nodiscard]] ValidatedResult run();
 
-    // core::Engine driver interface (one window of events per advance).
-    bool advance() override;
-    [[nodiscard]] double now() const override { return now_; }
-    [[nodiscard]] bool converged() const override { return census_.converged(); }
-    [[nodiscard]] Opinion dominant() const override {
-        return census_.pooled_stats().dominant;
-    }
-    [[nodiscard]] double opinion_fraction(Opinion j) const override {
-        return census_.opinion_fraction(j);
-    }
-
     [[nodiscard]] const Leader& leader() const { return *leader_; }
-    [[nodiscard]] const GenerationCensus& census() const { return census_; }
     [[nodiscard]] const NodeState& node(NodeId v) const { return nodes_[v]; }
 
 private:
-    struct CensusMove {
-        Generation old_gen;
-        Opinion old_col;
-        Generation new_gen;
-        Opinion new_col;
-    };
-
-    struct alignas(64) ShardScratch {
-        std::uint64_t ticks = 0;
-        std::uint64_t good_ticks = 0;
-        std::uint64_t exchanges = 0;
-        std::uint64_t two_choices = 0;
-        std::uint64_t propagation = 0;
-        std::uint64_t refresh = 0;
-        std::uint64_t commits = 0;
-        std::uint64_t aborts = 0;
-        std::uint64_t crash_skips = 0;
-        std::vector<CensusMove> moves;
-    };
+    friend EventEngine;
 
     void begin_window();
-    void commit_window();
+    [[gnu::always_inline]] inline void on_event(Context& ctx, Shard& shard,
+                                                double t, ValidatedEvent& ev);
 
     AsyncConfig config_;
     std::unique_ptr<sim::LatencyModel> channel_;
     std::unique_ptr<sim::LatencyModel> message_;
-    /// Fault layer (built in run(); rng_ not advanced — see
-    /// async/simulation.hpp).
-    std::unique_ptr<fault::Injector> injector_;
-    bool crash_on_ = false;
-    Rng rng_;
     std::vector<NodeState> nodes_;
     std::vector<NodeState> nodes_snap_;  ///< window-start copy (peer reads)
-    GenerationCensus census_;
     std::unique_ptr<Leader> leader_;
-    std::unique_ptr<sim::WindowedExecutor<ValidatedEvent>> executor_;
-    std::vector<ShardScratch> scratch_;
-    Opinion plurality_ = 0;
-    bool ran_ = false;
 
     Generation snap_leader_gen_ = 1;
     bool snap_leader_prop_ = false;
 
-    double now_ = 0.0;
     ValidatedResult result_;
 };
 

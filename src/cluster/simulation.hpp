@@ -8,9 +8,9 @@
 /// The run loop (budgets, sampling, ε/consensus detection) is owned by
 /// core::run(); failure injection piggybacks on the driver's sample hook.
 ///
-/// Since PR 6 the consensus phase runs on the sharded windowed executor
-/// (sim/windowed_executor.hpp; see async/simulation.hpp for the shared
-/// porting notes). Multi-leader specifics:
+/// The consensus phase runs on the shared event skeleton
+/// (sim/event_engine.hpp, which holds the porting notes common to every
+/// event model). Multi-leader specifics:
 ///   - cluster leader c is owned by shard c mod S: all member signals to c
 ///     route there, and only that shard touches c's counters and per-leader
 ///     congestion window;
@@ -24,6 +24,7 @@
 ///     windows, so alive_ is read-only while shards run.
 /// Fixed-seed trajectories are bit-identical at every thread count.
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -31,57 +32,27 @@
 #include "cluster/clustering.hpp"
 #include "cluster/config.hpp"
 #include "cluster/member.hpp"
-#include "core/engine.hpp"
 #include "core/run_result.hpp"
-#include "fault/injector.hpp"
 #include "opinion/assignment.hpp"
-#include "opinion/census.hpp"
+#include "sim/event_engine.hpp"
 #include "sim/latency.hpp"
 #include "support/random.hpp"
-#include "support/timeseries.hpp"
-
-namespace papc::sim {
-template <typename Event>
-class WindowedExecutor;
-}  // namespace papc::sim
 
 namespace papc::cluster {
 
-/// Aggregate outcome of one full multi-leader run. The unified convergence
-/// semantics live in the core::RunResult base (the consensus-phase clock,
-/// starting at 0); the fields below are clustering and §4.5 accounting.
-/// NOTE: since PR 6 RunResult::steps counts executor *windows*, not
-/// events — use events_processed for event throughput.
-struct MultiLeaderResult : core::RunResult {
+/// Aggregate outcome of one full multi-leader run: the unified convergence
+/// semantics (core::RunResult, on the consensus-phase clock starting at 0;
+/// steps counts executor windows), the counters every event family reports
+/// (sim::EventCounters; the leader load is spread over all cluster
+/// leaders), and the clustering accounting below.
+struct MultiLeaderResult : core::RunResult, sim::EventCounters {
     // Clustering phase.
     ClusteringResult clustering;
     double clustering_time = 0.0;
 
     // Consensus phase accounting.
     double finished_fraction = 0.0;  ///< nodes with the finished flag at end
-
-    std::uint64_t ticks = 0;
-    std::uint64_t exchanges = 0;
-    std::uint64_t two_choices_count = 0;
-    std::uint64_t propagation_count = 0;
     std::uint64_t finished_adoptions = 0;
-
-    Generation final_top_generation = 0;
-
-    // §4.5 complexity accounting: the load is spread over all cluster
-    // leaders (vs Θ(n) per step on the single leader).
-    std::uint64_t signals_delivered = 0;  ///< all signals at any leader
-    double leader_peak_load = 0.0;        ///< max signals/step at one leader
-
-    // Windowed-executor accounting (PR 6).
-    std::uint64_t events_processed = 0;   ///< total events across shards
-    std::uint64_t windows = 0;            ///< conservative windows executed
-    std::uint64_t window_stragglers = 0;  ///< cross-shard sends behind a
-                                          ///< closed window
-
-    // Fault-injection accounting (all zero without an active plan).
-    fault::FaultCounters faults;
-    std::uint64_t nodes_crashed = 0;
 
     /// Per-active-cluster leader traces (Figure 2 source data).
     std::vector<std::vector<ClusterLeaderTransition>> leader_traces;
@@ -92,34 +63,48 @@ struct MultiLeaderResult : core::RunResult {
     }
 };
 
-/// One event of the multi-leader simulation (defined in the .cpp).
-struct ClusterEvent;
+/// Per-shard counters of the multi-leader model beyond sim::EventCounters.
+struct ClusterShardCounters {
+    std::uint64_t adoptions = 0;  ///< finished opinions adopted
+    std::uint64_t finished = 0;   ///< nodes that set the finished flag
+};
+
+enum class ClusterEventKind : std::uint8_t {
+    kTick,
+    kExchange,
+    kSignal,     ///< member signal arriving at its own leader
+    kAdopt,      ///< finished node pushing its final opinion to a sample
+};
+
+struct ClusterEvent {
+    ClusterEventKind kind = ClusterEventKind::kTick;
+    NodeId node = 0;
+    NodeId s1 = 0;
+    NodeId s2 = 0;
+    NodeId s3 = 0;
+    std::int32_t cluster = kNoCluster;  ///< kSignal target
+    Generation sig_i = 0;
+    LeaderState sig_s = LeaderState::kTwoChoices;
+    bool sig_changed = false;
+    Opinion col = 0;                    ///< kAdopt payload
+};
 
 /// Runs the consensus phase over an existing clustering.
-class MultiLeaderSimulation final : public core::Engine {
+class MultiLeaderSimulation final
+    : public sim::EventEngine<MultiLeaderSimulation, ClusterEvent,
+                              ClusterShardCounters> {
 public:
     MultiLeaderSimulation(const Assignment& assignment,
                           ClusteringResult clustering,
                           const ClusterConfig& config, std::uint64_t seed);
 
+    /// Out of line: keeps the vtable and the event loop in the .cpp.
     ~MultiLeaderSimulation() override;
 
     /// Runs to full consensus (or config.max_time). Clustering fields of
     /// the result are copied from the provided clustering.
     [[nodiscard]] MultiLeaderResult run();
 
-    // core::Engine driver interface (one window of events per advance).
-    bool advance() override;
-    [[nodiscard]] double now() const override { return now_; }
-    [[nodiscard]] bool converged() const override { return census_.converged(); }
-    [[nodiscard]] Opinion dominant() const override {
-        return census_.pooled_stats().dominant;
-    }
-    [[nodiscard]] double opinion_fraction(Opinion j) const override {
-        return census_.opinion_fraction(j);
-    }
-
-    [[nodiscard]] const GenerationCensus& census() const { return census_; }
     [[nodiscard]] const MemberState& member(NodeId v) const { return members_[v]; }
     [[nodiscard]] const ClusterLeader& leader(std::size_t c) const {
         return *leaders_[c];
@@ -127,26 +112,7 @@ public:
     [[nodiscard]] std::size_t num_clusters() const { return leaders_.size(); }
 
 private:
-    struct CensusMove {
-        Generation old_gen;
-        Opinion old_col;
-        Generation new_gen;
-        Opinion new_col;
-    };
-
-    /// Shard-owned accumulation (see async/simulation.hpp).
-    struct alignas(64) ShardScratch {
-        std::uint64_t ticks = 0;
-        std::uint64_t exchanges = 0;
-        std::uint64_t two_choices = 0;
-        std::uint64_t propagation = 0;
-        std::uint64_t adoptions = 0;
-        std::uint64_t finished = 0;
-        std::uint64_t signals = 0;
-        std::uint64_t crash_skips = 0;
-        double peak_load = 0.0;
-        std::vector<CensusMove> moves;
-    };
+    friend EventEngine;
 
     /// Window-start snapshot of one cluster leader's public state.
     struct LeaderSnap {
@@ -154,45 +120,27 @@ private:
         LeaderState state = LeaderState::kTwoChoices;
     };
 
-    /// Owning shard of cluster leader `c`'s signal events and counters.
-    [[nodiscard]] std::size_t leader_shard(std::size_t cluster) const;
-
     void begin_window();
-    void commit_window();
-    void mark_finished(ShardScratch& scratch, NodeId v);
-    void adopt_finished(ShardScratch& scratch, NodeId v, Opinion col);
+    [[gnu::always_inline]] inline void on_event(Context& ctx, Shard& shard,
+                                                double t, ClusterEvent& ev);
+    void mark_finished(Shard& shard, NodeId v);
+    void adopt_finished(Shard& shard, NodeId v, Opinion col);
     void maybe_inject_failure();
-    void record_leader_signal(ShardScratch& scratch, std::size_t cluster,
-                              double time);
 
     ClusterConfig config_;
     ClusteringResult clustering_;
-    /// Fault layer (built in run(); rng_ not advanced — see
-    /// async/simulation.hpp).
-    std::unique_ptr<fault::Injector> injector_;
-    bool crash_on_ = false;
-    Rng rng_;
     sim::ExponentialLatency latency_;
     std::vector<MemberState> members_;
     std::vector<MemberState> members_snap_;  ///< window-start copy
     std::vector<std::unique_ptr<ClusterLeader>> leaders_;
     std::vector<LeaderSnap> leader_snap_;    ///< window-start leader states
-    GenerationCensus census_;
-    std::unique_ptr<sim::WindowedExecutor<ClusterEvent>> executor_;
-    std::vector<ShardScratch> scratch_;
-    Opinion plurality_ = 0;
-    bool ran_ = false;
 
-    double now_ = 0.0;
     MultiLeaderResult result_;
     Generation max_generation_ = 0;
 
-    // Failure injection (§4 resilience) + per-leader congestion windows
-    // (each entry only ever touched from leader_shard(cluster)).
+    // Failure injection (§4 resilience).
     std::vector<bool> alive_;
     bool failure_injected_ = false;
-    std::vector<std::int64_t> load_bucket_;
-    std::vector<std::uint64_t> load_count_;
 };
 
 /// Convenience: clustering + consensus in one call on a biased-plurality

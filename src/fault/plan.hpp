@@ -101,6 +101,15 @@ struct FaultCounters {
     [[nodiscard]] std::uint64_t total() const {
         return lost + duplicated + corrupted + delayed + crash_skips;
     }
+
+    FaultCounters& operator+=(const FaultCounters& other) {
+        lost += other.lost;
+        duplicated += other.duplicated;
+        corrupted += other.corrupted;
+        delayed += other.delayed;
+        crash_skips += other.crash_skips;
+        return *this;
+    }
 };
 
 }  // namespace papc::fault

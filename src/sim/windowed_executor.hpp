@@ -230,10 +230,7 @@ public:
             events_ += lane->processed;
             now_ = std::max(now_, lane->last_time);
             if (message_faults_on_) {
-                faults_.lost += lane->faults.lost;
-                faults_.duplicated += lane->faults.duplicated;
-                faults_.corrupted += lane->faults.corrupted;
-                faults_.delayed += lane->faults.delayed;
+                faults_ += lane->faults;
                 lane->faults = fault::FaultCounters{};
             }
         }

@@ -89,6 +89,27 @@ TEST(ProtocolRegistry, CheckRejectsUnknownProtocolAndBadK) {
     const std::vector<std::string> problems = registry.check(s);
     ASSERT_FALSE(problems.empty());
     EXPECT_NE(problems.front().find("requires k"), std::string::npos);
+
+    // Inputs validate() accepts but the engines cannot run: the closed-form
+    // generation count needs n > max(2, k), and clustering needs n >= 16.
+    // Each is rejected with a message instead of aborting in the engine.
+    struct Case {
+        const char* protocol;
+        std::size_t n;
+        std::uint32_t k;
+        const char* message;
+    };
+    for (const Case& c : {Case{"sync", 2, 2, "requires n > max(2, k)"},
+                          Case{"async", 1000, 1000, "requires n > max(2, k)"},
+                          Case{"multi", 8, 4, "requires n >= 16"}}) {
+        s = tiny_scenario(c.protocol, c.k);
+        s.n = c.n;
+        ASSERT_TRUE(validate(s).empty()) << c.protocol;
+        const std::vector<std::string> rejected = registry.check(s);
+        ASSERT_FALSE(rejected.empty()) << c.protocol;
+        EXPECT_NE(rejected.front().find(c.message), std::string::npos)
+            << c.protocol << ": " << rejected.front();
+    }
 }
 
 TEST(ProtocolRegistry, WrapperDoesNotPerturbTheAsyncRngStream) {

@@ -23,6 +23,18 @@ TEST(ValidatedSimulation, ConvergesToPlurality) {
     EXPECT_GT(r.commits, 0U);
 }
 
+TEST(ValidatedSimulation, CountsTheSignalsItsLeaderReceives) {
+    // Every tick sends the leader a 0-signal, so a converged run delivers
+    // many, and the per-time-unit peak is positive and bounded by the total.
+    const ValidatedResult r =
+        run_validated_single_leader(1500, 4, 2.0, fast_config(), 2.0, 5);
+    ASSERT_TRUE(r.base.converged);
+    EXPECT_GT(r.base.signals_delivered, 0U);
+    EXPECT_GT(r.base.leader_peak_load, 0.0);
+    EXPECT_LE(r.base.leader_peak_load,
+              static_cast<double>(r.base.signals_delivered));
+}
+
 TEST(ValidatedSimulation, AbortRateIsSmall) {
     // The leader changes state only O(G*) times; validation failures are
     // confined to short windows around those changes.
