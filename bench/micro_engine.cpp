@@ -81,60 +81,34 @@ BENCHMARK(BM_RngUniformIndicesBlock);
 
 // Hold model: `queue_size` pending events, each iteration pops the
 // earliest and pushes a replacement one uniform draw into the future. The
-// {heap, calendar} x {2^10 .. 2^22} matrix exposes how each scheduler
-// scales with the pending-event population.
-void queue_push_pop(benchmark::State& state, sim::QueueKind kind) {
+// 2^10 .. 2^22 range exposes how the event queue scales with the
+// pending-event population.
+void BM_EventQueuePushPop(benchmark::State& state) {
     const auto queue_size = static_cast<std::size_t>(state.range(0));
     Rng rng(4);
-    auto queue = sim::make_scheduler_queue<std::uint64_t>(kind, queue_size);
+    sim::EventQueue<std::uint64_t> queue;
+    queue.reserve(queue_size);
     for (std::size_t i = 0; i < queue_size; ++i) {
-        queue->push(rng.uniform(), i);
+        queue.push(rng.uniform(), i);
     }
     {
-        // The first pop pays each implementation's one-time structuring of
-        // the seeded population (ladder rung spawn, calendar width
-        // estimation). Pay it in setup: at 2^22 pending it is large enough
+        // The first pop pays the one-time rung spawn over the seeded
+        // population. Pay it in setup: at 2^22 pending it is large enough
         // to wreck the iteration estimate, and the row is meant to price
         // the steady-state hold cycle.
-        auto e = queue->pop();
-        queue->push(e.time, e.seq);
+        auto e = queue.pop();
+        queue.push(e.time, e.seq);
     }
     double t = 1.0;
     for (auto _ : state) {
-        auto e = queue->pop();
+        auto e = queue.pop();
         benchmark::DoNotOptimize(e);
-        queue->push(t + rng.uniform(), e.seq);
+        queue.push(t + rng.uniform(), e.seq);
         t += 1e-6;
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_EventQueuePushPop(benchmark::State& state) {  // legacy heap name
-    queue_push_pop(state, sim::QueueKind::kBinaryHeap);
-}
-void BM_CalendarQueuePushPop(benchmark::State& state) {
-    queue_push_pop(state, sim::QueueKind::kCalendar);
-}
-void BM_LadderQueuePushPop(benchmark::State& state) {
-    queue_push_pop(state, sim::QueueKind::kLadder);
-}
 BENCHMARK(BM_EventQueuePushPop)
-    ->Arg(1 << 10)
-    ->Arg(1 << 12)
-    ->Arg(1 << 14)
-    ->Arg(1 << 16)
-    ->Arg(1 << 18)
-    ->Arg(1 << 20)
-    ->Arg(1 << 22);
-BENCHMARK(BM_CalendarQueuePushPop)
-    ->Arg(1 << 10)
-    ->Arg(1 << 12)
-    ->Arg(1 << 14)
-    ->Arg(1 << 16)
-    ->Arg(1 << 18)
-    ->Arg(1 << 20)
-    ->Arg(1 << 22);
-BENCHMARK(BM_LadderQueuePushPop)
     ->Arg(1 << 10)
     ->Arg(1 << 12)
     ->Arg(1 << 14)
@@ -354,12 +328,11 @@ void BM_ApiRunTwoChoicesLarge(benchmark::State& state) {
 BENCHMARK(BM_ApiRunSyncLarge)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ApiRunTwoChoicesLarge)->Unit(benchmark::kMillisecond);
 
-void async_full_run_small(benchmark::State& state, sim::QueueKind kind) {
+void BM_AsyncFullRunSmall(benchmark::State& state) {
     async::AsyncConfig c;
     c.alpha_hint = 2.0;
     c.max_time = 400.0;
     c.record_series = false;
-    c.queue_kind = kind;
     std::uint64_t seed = 8;
     std::int64_t events = 0;
     for (auto _ : state) {
@@ -373,19 +346,7 @@ void async_full_run_small(benchmark::State& state, sim::QueueKind kind) {
     }
     state.SetItemsProcessed(events);
 }
-
-void BM_AsyncFullRunSmall(benchmark::State& state) {
-    async_full_run_small(state, sim::QueueKind::kBinaryHeap);
-}
-void BM_AsyncFullRunSmallCalendar(benchmark::State& state) {
-    async_full_run_small(state, sim::QueueKind::kCalendar);
-}
-void BM_AsyncFullRunSmallLadder(benchmark::State& state) {
-    async_full_run_small(state, sim::QueueKind::kLadder);
-}
 BENCHMARK(BM_AsyncFullRunSmall)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AsyncFullRunSmallCalendar)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_AsyncFullRunSmallLadder)->Unit(benchmark::kMillisecond);
 
 // Windowed-executor rows (PR 6). The single-queue hold model above
 // (BM_EventQueuePushPop) prices one pop+push; BM_WindowedExecutorHold
@@ -402,17 +363,17 @@ constexpr std::size_t kHoldPending = 1 << 14;
 
 void BM_SingleQueueHold(benchmark::State& state) {
     Rng rng(14);
-    auto queue = sim::make_scheduler_queue<std::uint32_t>(
-        sim::QueueKind::kBinaryHeap, kHoldPending);
+    sim::EventQueue<std::uint32_t> queue;
+    queue.reserve(kHoldPending);
     for (std::size_t i = 0; i < kHoldPending; ++i) {
-        queue->push(rng.exponential(1.0),
-                    static_cast<std::uint32_t>(i % kHoldNodes));
+        queue.push(rng.exponential(1.0),
+                   static_cast<std::uint32_t>(i % kHoldNodes));
     }
     for (auto _ : state) {
-        auto e = queue->pop();
+        auto e = queue.pop();
         const auto target =
             static_cast<std::uint32_t>(rng.uniform_index(kHoldNodes));
-        queue->push(e.time + rng.exponential(1.0), target);
+        queue.push(e.time + rng.exponential(1.0), target);
         benchmark::DoNotOptimize(target);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

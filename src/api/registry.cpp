@@ -254,7 +254,6 @@ async::AsyncConfig async_config_from(const Scenario& s) {
     config.max_time = s.max_time;
     config.sample_interval = s.sample_interval;
     config.record_series = s.record_series;
-    config.queue_kind = s.queue_kind;
     config.threads = s.threads;
     config.window = s.window;
     config.fault = fault_plan(s);
@@ -271,7 +270,6 @@ cluster::ClusterConfig cluster_config_from(const Scenario& s) {
     config.max_time = s.max_time;
     config.sample_interval = s.sample_interval;
     config.record_series = s.record_series;
-    config.queue_kind = s.queue_kind;
     config.threads = s.threads;
     config.window = s.window;
     config.fault = fault_plan(s);
@@ -286,8 +284,7 @@ void register_builtins(ProtocolRegistry& registry) {
     const std::vector<std::string> population_knobs =
         with_fault_knobs({"max-steps", "record-every"});
     const std::vector<std::string> event_knobs = with_fault_knobs(
-        {"lambda", "max-time", "sample-interval", "queue", "threads",
-         "window"});
+        {"lambda", "max-time", "sample-interval", "threads", "window"});
     const std::vector<std::string> sync_extras = extra_names<FaultTally>();
 
     // --- synchronous round dynamics -------------------------------------
@@ -445,7 +442,7 @@ void register_builtins(ProtocolRegistry& registry) {
                      "latencies (Section 5)",
                      with_fault_knobs(
                          {"lambda", "msg-rate", "max-time",
-                          "sample-interval", "queue", "threads", "window"}),
+                          "sample-interval", "threads", "window"}),
                      extra_names<async::ValidatedResult>(), 2, 0, 2, true},
         [](const Scenario& s, std::uint64_t seed) {
             Rng workload_rng(derive_seed(seed, 0xA552));

@@ -216,17 +216,6 @@ const FieldSpec kFields[] = {
          return {};
      },
      [](const Scenario& s) { return format_double_field(s.sample_interval); }},
-    {"queue", "heap | calendar | ladder scheduler queue (event-driven "
-              "families)",
-     [](Scenario& s, const std::string& v) -> std::string {
-         const auto parsed = sim::try_parse_queue_kind(v);
-         if (!parsed.has_value()) {
-             return bad_value("queue", v, "heap, calendar or ladder");
-         }
-         s.queue_kind = *parsed;
-         return {};
-     },
-     [](const Scenario& s) { return std::string(sim::to_string(s.queue_kind)); }},
     {"fault_loss", "per-message drop probability (fault layer)",
      [](Scenario& s, const std::string& v) -> std::string {
          if (!try_parse_double(v, &s.fault_loss)) {
@@ -428,7 +417,6 @@ void write_json(JsonWriter& writer, const Scenario& scenario) {
     writer.kv("record-series", scenario.record_series);
     writer.kv("record-every", scenario.record_every);
     writer.kv("sample-interval", scenario.sample_interval);
-    writer.kv("queue", sim::to_string(scenario.queue_kind));
     writer.kv("fault_loss", scenario.fault_loss);
     writer.kv("fault_dup", scenario.fault_dup);
     writer.kv("fault_corrupt", scenario.fault_corrupt);

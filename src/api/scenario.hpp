@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "fault/plan.hpp"
-#include "sim/queue_kind.hpp"
+#include "sim/scheduler_queue.hpp"
 #include "support/json_writer.hpp"
 
 namespace papc::api {
@@ -85,9 +85,9 @@ struct Scenario {
     std::uint64_t record_every = 0;
     double sample_interval = 0.25;
 
-    /// Scheduler queue behind the event-driven families (results are
-    /// queue-independent; throughput is not).
-    sim::QueueKind queue_kind = sim::QueueKind::kBinaryHeap;
+    /// Benchmark compatibility; delete with the next benchmark change. The
+    /// one queue kind, neither settable nor serialised.
+    static constexpr sim::QueueKind queue_kind = sim::QueueKind::kLadder;
 
     // Fault & adversary injection (src/fault/plan.hpp; every family).
     // All rates default to 0 = fault-free, and a zero plan is
@@ -118,9 +118,10 @@ struct Scenario {
 [[nodiscard]] const std::vector<std::string>& scenario_field_names();
 
 /// Sets one field from its string form ("n"="10000", "workload"="zipf",
-/// "queue"="calendar", ...). Returns an empty string on success, else an
-/// error message naming the field and the problem. This is the single
-/// mutation path shared by the CLI flags and the sweep axes.
+/// ...). Returns an empty string on success, else an error message naming
+/// the field and the problem ("unknown scenario field" for a name outside
+/// scenario_field_names()). This is the single mutation path shared by the
+/// CLI flags and the sweep axes.
 [[nodiscard]] std::string set_field(Scenario& scenario,
                                     const std::string& field,
                                     const std::string& value);

@@ -8,7 +8,6 @@
 
 #include "fault/plan.hpp"
 #include "opinion/types.hpp"
-#include "sim/queue_kind.hpp"
 
 namespace papc::async {
 
@@ -60,13 +59,6 @@ struct AsyncConfig {
     /// byte-identical to no plan; any active channel makes the plan part
     /// of the trajectory identity.
     fault::FaultPlan fault;
-
-    /// Scheduler-queue implementation behind each shard of the windowed
-    /// event executor. All kinds pop in identical (time, seq) order
-    /// (pinned by the equivalence tests), so for a fixed seed this knob
-    /// changes throughput only, never results. Prefer kCalendar or
-    /// kLadder for n >> 2^16 pending events.
-    sim::QueueKind queue_kind = sim::QueueKind::kBinaryHeap;
 
     /// Worker threads of the windowed executor. Results are bit-identical
     /// at every thread count (the PR 5 contract, extended to events);

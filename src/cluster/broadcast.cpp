@@ -24,8 +24,7 @@ struct EventPayload {
 
 BroadcastResult run_broadcast(const ClusteringResult& clustering,
                               std::size_t source, double lambda,
-                              double max_time, Rng& rng,
-                              sim::QueueKind queue_kind) {
+                              double max_time, Rng& rng) {
     PAPC_CHECK(source < clustering.clusters.size());
     const std::size_t n = clustering.cluster_of.size();
     const std::size_t num_clusters = clustering.clusters.size();
@@ -39,17 +38,18 @@ BroadcastResult run_broadcast(const ClusteringResult& clustering,
 
     // Every clustered node keeps a tick plus at most one contact in
     // flight; reserve accordingly.
-    auto queue = sim::make_scheduler_queue<EventPayload>(queue_kind, 2 * n);
+    sim::EventQueue<EventPayload> queue;
+    queue.reserve(2 * n);
     for (NodeId v = 0; v < n; ++v) {
         if (clustering.cluster_of[v] == kNoCluster) continue;  // passive
-        queue->push(rng.exponential(1.0), EventPayload{EventKind::kTick, v, 0, 0});
+        queue.push(rng.exponential(1.0), EventPayload{EventKind::kTick, v, 0, 0});
     }
 
     auto sample_node = [&] { return static_cast<NodeId>(rng.uniform_index(n)); };
 
     double now = 0.0;
-    while (!queue->empty() && informed_count < num_clusters) {
-        auto entry = queue->pop();
+    while (!queue.empty() && informed_count < num_clusters) {
+        auto entry = queue.pop();
         now = entry.time;
         if (now > max_time) break;
         const EventPayload& ev = entry.payload;
@@ -62,10 +62,10 @@ BroadcastResult run_broadcast(const ClusteringResult& clustering,
                     std::max({latency.sample(rng), latency.sample(rng),
                               latency.sample(rng)}) +
                     std::max(latency.sample(rng), latency.sample(rng));
-                queue->push(now + delay, EventPayload{EventKind::kContact, ev.node,
-                                                      sample_node(), sample_node()});
-                queue->push(now + rng.exponential(1.0),
-                            EventPayload{EventKind::kTick, ev.node, 0, 0});
+                queue.push(now + delay, EventPayload{EventKind::kContact, ev.node,
+                                                     sample_node(), sample_node()});
+                queue.push(now + rng.exponential(1.0),
+                           EventPayload{EventKind::kTick, ev.node, 0, 0});
                 break;
             }
             case EventKind::kContact: {

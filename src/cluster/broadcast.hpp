@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cluster/clustering.hpp"
-#include "sim/queue_kind.hpp"
 #include "support/random.hpp"
 
 namespace papc::cluster {
@@ -26,12 +25,9 @@ struct BroadcastResult {
 };
 
 /// Simulates the broadcast over an existing clustering. `source` is the
-/// index of the initially informed cluster. `queue_kind` selects the
-/// scheduler queue behind the event loop (results are identical for any
-/// kind; only throughput differs).
+/// index of the initially informed cluster.
 [[nodiscard]] BroadcastResult run_broadcast(
     const ClusteringResult& clustering, std::size_t source, double lambda,
-    double max_time, Rng& rng,
-    sim::QueueKind queue_kind = sim::QueueKind::kBinaryHeap);
+    double max_time, Rng& rng);
 
 }  // namespace papc::cluster

@@ -34,13 +34,15 @@ enum class EventKind : std::uint8_t {
     kGossip,        ///< latency-delayed leader-gossip contact (broadcast)
 };
 
+// A node's cluster is written once (coin flip or first successful join), so
+// signal and gossip handlers read the sender's cluster at arrival instead of
+// carrying it: the payload stays 20 bytes and its queue node 40.
 struct EventPayload {
     EventKind kind = EventKind::kTick;
     NodeId node = 0;
     NodeId s1 = 0;
     NodeId s2 = 0;
     NodeId s3 = 0;
-    std::int32_t leader = kNoCluster;  ///< for kZeroSignal: target cluster
 };
 
 }  // namespace
@@ -92,11 +94,10 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
 
     // Each node keeps a tick plus at most one join/signal/gossip event in
     // flight; reserve accordingly.
-    auto queue =
-        sim::make_scheduler_queue<EventPayload>(config.queue_kind, 2 * n);
+    sim::EventQueue<EventPayload> queue;
+    queue.reserve(2 * n);
     for (NodeId v = 0; v < n; ++v) {
-        queue->push(rng.exponential(1.0),
-                    EventPayload{EventKind::kTick, v, 0, 0, 0, kNoCluster});
+        queue.push(rng.exponential(1.0), EventPayload{EventKind::kTick, v, 0, 0, 0});
     }
 
     auto accepting = [&](const LeaderInfo& info) {
@@ -119,8 +120,8 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
     auto sample_node = [&] { return static_cast<NodeId>(rng.uniform_index(n)); };
 
     double now = 0.0;
-    while (!queue->empty()) {
-        auto entry = queue->pop();
+    while (!queue.empty()) {
+        auto entry = queue.pop();
         now = entry.time;
         if (now > config.clustering_max_time) break;
         if (broadcast_started && uninformed == 0) break;
@@ -135,31 +136,28 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
                     // latency away. Only the first `floor` members keep
                     // signalling (the paper equalizes counting rates).
                     if (join_rank[v] < floor) {
-                        queue->push(now + latency.sample(rng),
-                                    EventPayload{EventKind::kZeroSignal, v, 0,
-                                                 0, 0, my_cluster});
+                        queue.push(now + latency.sample(rng),
+                                   EventPayload{EventKind::kZeroSignal, v, 0, 0, 0});
                     }
                     // Broadcast gossip: contact the own leader and the
                     // leaders of two random nodes (§4.2).
                     if (broadcast_started) {
-                        queue->push(
+                        queue.push(
                             now + latency.sample(rng) + latency.sample(rng),
                             EventPayload{EventKind::kGossip, v, sample_node(),
-                                         sample_node(), 0, my_cluster});
+                                         sample_node(), 0});
                     }
                 } else if (!join_pending[v]) {
                     // Unassigned follower: try to join via three samples.
                     join_pending[v] = true;
                     const double channels = std::max(
                         {latency.sample(rng), latency.sample(rng), latency.sample(rng)});
-                    queue->push(now + channels + latency.sample(rng),
-                                EventPayload{EventKind::kJoinAttempt, v,
-                                             sample_node(), sample_node(),
-                                             sample_node(), kNoCluster});
+                    queue.push(now + channels + latency.sample(rng),
+                               EventPayload{EventKind::kJoinAttempt, v, sample_node(),
+                                            sample_node(), sample_node()});
                 }
-                queue->push(now + rng.exponential(1.0),
-                            EventPayload{EventKind::kTick, v, 0, 0, 0,
-                                         kNoCluster});
+                queue.push(now + rng.exponential(1.0),
+                           EventPayload{EventKind::kTick, v, 0, 0, 0});
                 break;
             }
 
@@ -186,8 +184,9 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
             }
 
             case EventKind::kZeroSignal: {
-                PAPC_CHECK(ev.leader != kNoCluster);
-                LeaderInfo& info = leaders[static_cast<std::size_t>(ev.leader)];
+                const std::int32_t leader = cluster_of[ev.node];
+                PAPC_CHECK(leader != kNoCluster);
+                LeaderInfo& info = leaders[static_cast<std::size_t>(leader)];
                 if (info.phase == Phase::kPaused) {
                     if (++info.counter >= pause_count) {
                         info.phase = Phase::kOpen;
@@ -200,7 +199,7 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
                             broadcast_started = true;
                             result.first_switch_time = now;
                         }
-                        inform(ev.leader, now);
+                        inform(leader, now);
                     }
                 }
                 break;
@@ -209,7 +208,8 @@ ClusteringResult run_clustering(std::size_t n, const ClusterConfig& config,
             case EventKind::kGossip: {
                 // The member learned the leaders of two random nodes plus
                 // its own; an informed leader among them informs the rest.
-                std::int32_t contacted[3] = {ev.leader, cluster_of[ev.s1],
+                std::int32_t contacted[3] = {cluster_of[ev.node],
+                                             cluster_of[ev.s1],
                                              cluster_of[ev.s2]};
                 bool any_informed = false;
                 for (const std::int32_t idx : contacted) {

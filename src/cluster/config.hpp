@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "fault/plan.hpp"
-#include "sim/queue_kind.hpp"
 
 namespace papc::cluster {
 
@@ -85,12 +84,6 @@ struct ClusterConfig {
     /// the paper's §4 attack); the plan's scheduled_crashes address
     /// ordinary members. An all-zero plan is byte-identical to no plan.
     fault::FaultPlan fault;
-
-    /// Scheduler-queue implementation behind both event loops (clustering
-    /// phase and consensus phase). All kinds pop in identical (time, seq)
-    /// order, so for a fixed seed this knob changes throughput only, never
-    /// results. Prefer kCalendar or kLadder for n >> 2^16 pending events.
-    sim::QueueKind queue_kind = sim::QueueKind::kBinaryHeap;
 
     /// Worker threads of the consensus phase's windowed executor. Results
     /// are bit-identical at every thread count; only throughput changes.

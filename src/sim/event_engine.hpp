@@ -17,7 +17,7 @@
 ///     Rng::substream, so attaching it never shifts the tape (an all-zero
 ///     plan is byte-identical to no plan);
 ///   - the WindowedExecutor, built from the config fields every event
-///     family shares (event_shards, threads, window, lambda, queue_kind);
+///     family shares (event_shards, threads, window, lambda);
 ///   - per-shard scratch (EventCounters, the model's Counters, and the
 ///     census moves of the current window), committed and folded in shard
 ///     order;
@@ -191,7 +191,6 @@ protected:
         options.threads = serial ? 1 : config.threads;
         options.window = config.window;
         options.lambda = config.lambda;
-        options.queue_kind = config.queue_kind;
         options.reserve_hint = reserve_hint;
         options.injector = serial ? nullptr : injector_.get();
         executor_ = std::make_unique<WindowedExecutor<Event>>(

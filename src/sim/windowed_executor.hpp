@@ -6,9 +6,9 @@
 ///
 /// The event-driven engine families (async single-leader, sequential,
 /// validated, cluster multi-leader) historically popped one event at a
-/// time off a single SchedulerQueue. This executor partitions the nodes
-/// into a fixed number of *shards* — each with its own SchedulerQueue and
-/// a per-window RNG substream — and advances the simulation window by
+/// time off a single queue. This executor partitions the nodes into a
+/// fixed number of *shards* — each with its own EventQueue and a
+/// per-window RNG substream — and advances the simulation window by
 /// window: all shards process their pending events with timestamps in
 /// [T_min, T_min + delta) in parallel on a support::ThreadPool, then a
 /// barrier delivers cross-shard messages in deterministic shard order
@@ -66,7 +66,6 @@
 #include <vector>
 
 #include "fault/injector.hpp"
-#include "sim/queue_kind.hpp"
 #include "sim/scheduler_queue.hpp"
 #include "sim/time.hpp"
 #include "support/check.hpp"
@@ -96,7 +95,6 @@ struct WindowedOptions {
     std::size_t threads = 1;  ///< worker threads (never changes results)
     double window = 0.0;      ///< delta; <= 0 = default_window(lambda)
     double lambda = 1.0;      ///< channel rate used by the auto window
-    QueueKind queue_kind = QueueKind::kBinaryHeap;
     std::size_t reserve_hint = 0;  ///< expected concurrently-pending events
     /// Optional fault injector (borrowed; must outlive the executor).
     /// Message-level faults apply only to emissions routed through
@@ -128,8 +126,7 @@ public:
             options.reserve_hint > 0 ? options.reserve_hint / shards_ + 1 : 0;
         for (std::size_t s = 0; s < shards_; ++s) {
             lanes_.push_back(std::make_unique<Lane>());
-            lanes_.back()->queue =
-                make_scheduler_queue<Event>(options.queue_kind, hint);
+            lanes_.back()->queue.reserve(hint);
         }
         if (threads_ > 1) {
             pool_ = std::make_unique<support::ThreadPool>(threads_);
@@ -150,12 +147,12 @@ public:
     /// injection). Single-threaded; seq follows call order.
     void seed(std::size_t shard, Time time, Event event) {
         PAPC_CHECK(shard < shards_);
-        lanes_[shard]->queue->push(time, std::move(event));
+        lanes_[shard]->queue.push(time, std::move(event));
     }
 
     [[nodiscard]] bool empty() const {
         for (const auto& lane : lanes_) {
-            if (!lane->queue->empty()) return false;
+            if (!lane->queue.empty()) return false;
         }
         return true;
     }
@@ -182,8 +179,8 @@ public:
     bool run_window(Handler&& handler) {
         Time t_min = std::numeric_limits<Time>::infinity();
         for (const auto& lane : lanes_) {
-            if (!lane->queue->empty()) {
-                t_min = std::min(t_min, lane->queue->next_time());
+            if (!lane->queue.empty()) {
+                t_min = std::min(t_min, lane->queue.next_time());
             }
         }
         if (!(t_min < std::numeric_limits<Time>::infinity())) return false;
@@ -204,7 +201,7 @@ public:
             lane.processed = 0;
             lane.last_time = now_;
             ShardContext ctx(*this, lane, s);
-            SchedulerQueue<Event>& queue = *lane.queue;
+            EventQueue<Event>& queue = lane.queue;
             while (!queue.empty() && queue.next_time() < w_end) {
                 auto entry = queue.pop();
                 lane.last_time = entry.time;
@@ -224,7 +221,7 @@ public:
         for (const auto& lane : lanes_) {
             for (auto& msg : lane->outbox) {
                 if (msg.time < w_end) ++stragglers_;
-                lanes_[msg.shard]->queue->push(msg.time, std::move(msg.event));
+                lanes_[msg.shard]->queue.push(msg.time, std::move(msg.event));
             }
             lane->outbox.clear();
             events_ += lane->processed;
@@ -253,7 +250,7 @@ private:
     /// Per-shard lane. Heap-allocated so neighbouring shards' hot state
     /// never false-shares a cache line.
     struct Lane {
-        std::unique_ptr<SchedulerQueue<Event>> queue;
+        EventQueue<Event> queue;
         std::vector<Outgoing> outbox;
         Rng rng{0};
         Rng fault_rng{0};  ///< per-window message-fault substream
@@ -282,7 +279,7 @@ public:
         /// emissions buffer in the outbox until the barrier.
         void emit(std::size_t target, Time time, Event event) {
             if (target == shard_) {
-                lane_.queue->push(time, std::move(event));
+                lane_.queue.push(time, std::move(event));
             } else {
                 lane_.outbox.push_back(
                     Outgoing{target, time, std::move(event)});

@@ -126,7 +126,6 @@ TEST(ProtocolRegistry, WrapperDoesNotPerturbTheAsyncRngStream) {
     config.max_time = s.max_time;
     config.sample_interval = s.sample_interval;
     config.record_series = true;
-    config.queue_kind = s.queue_kind;
     const async::AsyncResult direct =
         async::run_single_leader(s.n, s.k, s.alpha, config, 99);
 
@@ -148,7 +147,6 @@ TEST(ProtocolRegistry, WrapperDoesNotPerturbTheClusterRngStream) {
     config.max_time = s.max_time;
     config.sample_interval = s.sample_interval;
     config.record_series = false;
-    config.queue_kind = s.queue_kind;
     const cluster::MultiLeaderResult direct =
         cluster::run_multi_leader(s.n, s.k, s.alpha, config, 41);
 

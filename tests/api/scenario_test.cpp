@@ -94,7 +94,8 @@ TEST(Scenario, SetFieldRoundTripsEveryField) {
     ASSERT_TRUE(set_field(modified, "record-series", "false").empty());
     ASSERT_TRUE(set_field(modified, "record-every", "9").empty());
     ASSERT_TRUE(set_field(modified, "sample-interval", "0.5").empty());
-    ASSERT_TRUE(set_field(modified, "queue", "calendar").empty());
+    ASSERT_TRUE(set_field(modified, "threads", "3").empty());
+    ASSERT_TRUE(set_field(modified, "window", "0.125").empty());
 
     for (const std::string& field : scenario_field_names()) {
         Scenario copy;
@@ -103,7 +104,7 @@ TEST(Scenario, SetFieldRoundTripsEveryField) {
             << field << " = " << rendered;
         EXPECT_EQ(get_field(copy, field), rendered) << field;
     }
-    EXPECT_EQ(modified.queue_kind, sim::QueueKind::kCalendar);
+    EXPECT_EQ(modified.threads, 3U);
     EXPECT_EQ(modified.workload, Workload::kZipf);
     EXPECT_FALSE(modified.record_series);
 }
@@ -116,17 +117,51 @@ TEST(Scenario, SetFieldRejectsUnknownFieldAndBadValues) {
     EXPECT_NE(set_field(s, "n", "10x"), "");
     EXPECT_NE(set_field(s, "alpha", ""), "");
     EXPECT_NE(set_field(s, "workload", "zipfian"), "");
-    EXPECT_NE(set_field(s, "queue", "fifo"), "");
+    EXPECT_NE(set_field(s, "threads", "many"), "");
     EXPECT_NE(set_field(s, "record-series", "maybe"), "");
     // Failed sets leave the scenario untouched.
     EXPECT_EQ(s.n, Scenario{}.n);
-    EXPECT_EQ(s.queue_kind, Scenario{}.queue_kind);
+    EXPECT_EQ(s.threads, Scenario{}.threads);
+}
+
+TEST(Scenario, RemovedQueueFieldIsUnknown) {
+    // The event queue is no longer a knob: "queue" is an unknown field on
+    // every surface that goes through set_field (CLI flags, sweep axes).
+    Scenario s;
+    EXPECT_EQ(set_field(s, "queue", "heap"), "unknown scenario field 'queue'");
+    EXPECT_EQ(field_help("queue"), "");
+    EXPECT_EQ(std::count(scenario_field_names().begin(),
+                         scenario_field_names().end(), "queue"),
+              0);
+}
+
+TEST(Scenario, JsonScenarioCarryingQueueIsRejected) {
+    // A JSON scenario applied key by key reports the stale "queue" key as
+    // an unknown field and still takes every other key.
+    const JsonParseResult parsed =
+        parse_json(R"({"protocol": "async", "n": 512, "queue": "heap"})");
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    Scenario s;
+    std::vector<std::string> errors;
+    for (const auto& [key, value] : parsed.value.members()) {
+        const std::string text =
+            value.is_string() ? value.as_string()
+                              : std::to_string(static_cast<long long>(
+                                    value.as_number()));
+        const std::string error = set_field(s, key, text);
+        if (!error.empty()) errors.push_back(error);
+    }
+    EXPECT_EQ(errors,
+              std::vector<std::string>{"unknown scenario field 'queue'"});
+    EXPECT_EQ(s.protocol, "async");
+    EXPECT_EQ(s.n, 512U);
 }
 
 TEST(Scenario, FieldTableIsComplete) {
     const std::vector<std::string>& names = scenario_field_names();
-    // +threads in PR 5, +window in PR 6, +9 fault knobs in PR 9.
-    EXPECT_EQ(names.size(), 29U);
+    // The core fields, threads, window and the nine fault knobs; the event
+    // queue is no longer a knob.
+    EXPECT_EQ(names.size(), 28U);
     for (const std::string& field : names) {
         EXPECT_FALSE(field_help(field).empty()) << field;
         EXPECT_FALSE(get_field(Scenario{}, field).empty()) << field;
@@ -146,6 +181,8 @@ TEST(Scenario, JsonEmitsEveryField) {
     for (const std::string& field : scenario_field_names()) {
         EXPECT_NE(parsed.value.find(field), nullptr) << field;
     }
+    EXPECT_EQ(parsed.value.members().size(), scenario_field_names().size());
+    EXPECT_EQ(parsed.value.find("queue"), nullptr);
 }
 
 }  // namespace

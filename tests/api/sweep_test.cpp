@@ -34,12 +34,12 @@ TEST(SweepSpec, ParsesSteppedRangesAndMixedItems) {
 
 TEST(SweepSpec, ParsesNonNumericAxes) {
     const SweepSpecParse parsed =
-        parse_sweep_spec("protocol=sync,two-choices;queue=heap,calendar");
+        parse_sweep_spec("protocol=sync,two-choices;workload=biased,zipf");
     ASSERT_TRUE(parsed.ok()) << parsed.error;
     EXPECT_EQ(parsed.axes[0].values,
               (std::vector<std::string>{"sync", "two-choices"}));
     EXPECT_EQ(parsed.axes[1].values,
-              (std::vector<std::string>{"heap", "calendar"}));
+              (std::vector<std::string>{"biased", "zipf"}));
 }
 
 TEST(SweepSpec, RangeAtInt64MaxTerminates) {
@@ -116,6 +116,11 @@ TEST(SweepExpand, ReportsBadFieldOrValue) {
     EXPECT_NE(expand(sweep, &cells), "");
     sweep.axes = {{"n", {"12", "snail"}}};
     EXPECT_NE(expand(sweep, &cells), "");
+    // The removed queue knob is an unknown field, not an abort.
+    const SweepSpecParse parsed = parse_sweep_spec("queue=heap,calendar");
+    ASSERT_TRUE(parsed.ok()) << parsed.error;
+    sweep.axes = parsed.axes;
+    EXPECT_EQ(expand(sweep, &cells), "unknown scenario field 'queue'");
 }
 
 // -------------------------------------------------------------- execution

@@ -213,30 +213,5 @@ TEST(WindowedExecutor, TrajectoryInvariantAcrossThreadCounts) {
     EXPECT_EQ(t1, t8);
 }
 
-TEST(WindowedExecutor, WorksWithEveryQueueKind) {
-    // The executor is queue-kind agnostic: identical tapes whichever
-    // SchedulerQueue implementation backs the shards.
-    const auto run = [](QueueKind kind) {
-        WindowedOptions o = options(2, 1.0);
-        o.queue_kind = kind;
-        WindowedExecutor<int> executor(16, o, Rng(13));
-        executor.seed(0, 0.0, 0);
-        std::vector<int> seen;
-        const auto handler = [&](auto& ctx, Time t, int payload) {
-            seen.push_back(payload);
-            if (payload < 20) {
-                ctx.emit(payload % 2, t + 0.3, payload + 1);
-            }
-        };
-        while (executor.run_window(handler)) {
-        }
-        return seen;
-    };
-    const std::vector<int> heap = run(QueueKind::kBinaryHeap);
-    EXPECT_EQ(heap, run(QueueKind::kCalendar));
-    EXPECT_EQ(heap, run(QueueKind::kLadder));
-    ASSERT_EQ(heap.size(), 21U);
-}
-
 }  // namespace
 }  // namespace papc::sim

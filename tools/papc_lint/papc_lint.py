@@ -2,7 +2,7 @@
 """papc_lint — repo-specific determinism + architecture lint for papc.
 
 Every engine in this repo promises fixed-seed, bit-identical trajectories
-across thread counts, queue kinds, and scalar/SIMD kernels. Those contracts
+across thread counts and scalar/SIMD kernels. Those contracts
 are pinned by runtime equivalence tests, but nothing in the compiler stops
 new code from quietly breaking them: iterating an unordered_map into a
 result, constructing a private std::mt19937, merging shard state in
