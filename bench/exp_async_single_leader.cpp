@@ -53,7 +53,7 @@ int main() {
         for (const std::size_t n :
              {std::size_t{1} << 10, std::size_t{1} << 12, std::size_t{1} << 14,
               std::size_t{1} << 16, std::size_t{1} << 17}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) { return one_trial(n, 4, 1.8, 1.0, s); }, 5,
                 derive_seed(0xE401, row++), /*threads=*/4);
             table.row()
@@ -77,7 +77,7 @@ int main() {
                      "success"});
         std::uint64_t row = 0;
         for (const double inv_lambda : {0.1, 1.0, 2.0, 5.0, 10.0}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     return one_trial(1 << 14, 4, 1.8, 1.0 / inv_lambda, s);
                 },

@@ -61,7 +61,7 @@ int main() {
         std::uint64_t row = 0;
         for (const std::size_t n : {std::size_t{1} << 12, std::size_t{1} << 13,
                                     std::size_t{1} << 14, std::size_t{1} << 15}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     runner::TrialMetrics m;
                     async::AsyncConfig ac;

@@ -65,7 +65,7 @@ int main() {
         const auto probe = make_model(which);
         const std::string name = probe->name();
         const std::string aging = sim::to_string(probe->aging());
-        const auto o = runner::run_experiment_parallel(
+        const auto o = runner::run_experiment(
             [&](std::uint64_t s) {
                 Rng wrng(derive_seed(s, 1));
                 const Assignment a = make_biased_plurality(n, k, alpha, wrng);

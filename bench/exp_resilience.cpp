@@ -12,6 +12,7 @@
 
 #include "async/simulation.hpp"
 #include "cluster/simulation.hpp"
+#include "fault/plan.hpp"
 #include "runner/experiment.hpp"
 #include "runner/report.hpp"
 #include "support/table.hpp"
@@ -32,12 +33,15 @@ int main() {
                      "end time"});
         std::uint64_t row = 0;
         for (const double failure_time : {-1.0, 10.0}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     async::AsyncConfig c;
                     c.alpha_hint = alpha;
                     c.max_time = 400.0;  // generous cap; stalls stay stalled
-                    c.leader_failure_time = failure_time;
+                    if (failure_time >= 0.0) {
+                        c.fault.scheduled_crashes = {
+                            {fault::kLeaderNode, failure_time}};
+                    }
                     const async::AsyncResult r =
                         async::run_single_leader(n, k, alpha, c, s);
                     runner::TrialMetrics m;
@@ -72,7 +76,7 @@ int main() {
                      "active clusters"});
         std::uint64_t row = 0;
         for (const double fraction : {0.0, 0.25, 0.5, 0.75, 0.9}) {
-            const auto o = runner::run_experiment_parallel(
+            const auto o = runner::run_experiment(
                 [&](std::uint64_t s) {
                     cluster::ClusterConfig c;
                     c.size_floor = 24;

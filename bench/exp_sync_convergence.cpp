@@ -46,9 +46,11 @@ void sweep(const char* title, const std::vector<std::size_t>& ns,
         for (const std::uint32_t k : ks) {
             // Unified-result trial: aggregates come straight from the
             // core::RunResult metrics (steps = rounds on the sync axis).
-            const runner::ExperimentOutcome o = runner::run_result_experiment(
-                [&](std::uint64_t s) { return one_trial(n, k, alpha, s); }, reps,
-                derive_seed(seed, row_index++));
+            const runner::ExperimentOutcome o = runner::run_experiment(
+                [&](std::uint64_t s) {
+                    return runner::metrics_from(one_trial(n, k, alpha, s));
+                },
+                reps, derive_seed(seed, row_index++));
             table.row()
                 .add(n)
                 .add(k)

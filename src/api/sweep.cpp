@@ -173,7 +173,7 @@ SweepResult run_sweep(const Sweep& sweep) {
             };
         // Cell seeds derive from (base_seed, cell index): reproducible and
         // independent of how many cells or threads run.
-        cell.outcome = runner::run_experiment_parallel(
+        cell.outcome = runner::run_experiment(
             trial, sweep.reps, derive_seed(sweep.base_seed, i),
             sweep.threads > 0 ? sweep.threads : 1);
     }

@@ -81,7 +81,7 @@ struct SweepSpecParse {
                                  std::vector<SweepCell>* cells);
 
 /// Expands and runs every cell (reps trials each, metrics aggregated via
-/// runner::run_experiment_parallel). Every cell's scenario must pass the
+/// runner::run_experiment). Every cell's scenario must pass the
 /// registry check (PAPC_CHECKed); front ends should pre-flight with
 /// expand() + ProtocolRegistry::check for friendly errors.
 [[nodiscard]] SweepResult run_sweep(const Sweep& sweep);

@@ -44,20 +44,13 @@ struct AsyncConfig {
     /// Record time series (disable in bulk sweeps to save memory).
     bool record_series = true;
 
-    /// Adversarial failure injection (§4 motivation: "an adversary can
-    /// compromise the entire computation by taking over the leader"): at
-    /// this time the leader freezes — it stops processing signals and its
-    /// public state never changes again. Negative = no failure.
-    ///
-    /// DEPRECATED shim: since the fault layer landed this is sugar for a
-    /// `fault.scheduled_crashes` entry with node == fault::kLeaderNode at
-    /// the same time (the engines splice it in; results are unchanged —
-    /// pinned by tests/integration/resilience_test.cpp). Prefer the plan.
-    double leader_failure_time = -1.0;
-
     /// Fault & adversary plan (src/fault/plan.hpp). An all-zero plan is
     /// byte-identical to no plan; any active channel makes the plan part
-    /// of the trajectory identity.
+    /// of the trajectory identity. A `scheduled_crashes` entry with node
+    /// == fault::kLeaderNode freezes the leader at its time (§4
+    /// motivation: "an adversary can compromise the entire computation by
+    /// taking over the leader"): it stops processing signals and its
+    /// public state never changes again.
     fault::FaultPlan fault;
 
     /// Worker threads of the windowed executor. Results are bit-identical
@@ -73,17 +66,6 @@ struct AsyncConfig {
     /// Shard count of the windowed executor (0 = default). Like `window`,
     /// part of the trajectory; unlike `threads`, never auto-scaled.
     std::size_t event_shards = 0;
-
-    /// `fault` with the leader_failure_time shim spliced in as a scheduled
-    /// crash of fault::kLeaderNode — the plan the engines run with.
-    [[nodiscard]] fault::FaultPlan effective_fault() const {
-        fault::FaultPlan plan = fault;
-        if (leader_failure_time >= 0.0) {
-            plan.scheduled_crashes.push_back(
-                fault::CrashEntry{fault::kLeaderNode, leader_failure_time});
-        }
-        return plan;
-    }
 };
 
 }  // namespace papc::async

@@ -109,7 +109,7 @@ void SequentialSingleLeaderSimulation::on_event(Context& ctx, Shard& shard,
 
 AsyncResult SequentialSingleLeaderSimulation::run() {
     const std::size_t n = nodes_.size();
-    begin_run(config_.effective_fault(), config_.max_time);
+    begin_run(config_.fault, config_.max_time);
     result_.leader_generation = TimeSeries("leader-generation");
     if (injector() != nullptr) {
         msg_faults_on_ = injector()->message_faults_active();

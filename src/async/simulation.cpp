@@ -176,7 +176,7 @@ void SingleLeaderSimulation::on_event(Context& ctx, Shard& shard, double t,
 
 AsyncResult SingleLeaderSimulation::run() {
     const std::size_t n = nodes_.size();
-    begin_run(config_.effective_fault(), config_.max_time);
+    begin_run(config_.fault, config_.max_time);
     result_.leader_generation = TimeSeries("leader-generation");
 
     // Measure C1 = F^{-1}(0.9) of T3 for this latency model (Monte Carlo;

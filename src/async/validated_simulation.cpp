@@ -189,7 +189,7 @@ void ValidatedSingleLeaderSimulation::on_event(Context& ctx, Shard& shard,
 
 ValidatedResult ValidatedSingleLeaderSimulation::run() {
     const std::size_t n = nodes_.size();
-    begin_run(config_.effective_fault(), config_.max_time);
+    begin_run(config_.fault, config_.max_time);
     AsyncResult& base = result_.base;
     base.leader_generation = TimeSeries("leader-generation");
 

@@ -96,8 +96,8 @@ public:
     [[nodiscard]] bool is_down(NodeId v, double t) const;
 
     /// True when the distinguished leader is down at time t (driven by
-    /// scheduled_crashes entries with node == kLeaderNode; matches the
-    /// legacy `t >= leader_failure_time` boundary exactly).
+    /// scheduled_crashes entries with node == kLeaderNode): t >= the
+    /// earliest such entry's time.
     [[nodiscard]] bool leader_down(double t) const {
         return t >= leader_crash_time_;
     }

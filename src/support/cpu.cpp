@@ -88,16 +88,4 @@ void clear_simd_override() {
     g_override.store(0, std::memory_order_relaxed);
 }
 
-bool simd_override_active() {
-    return g_override.load(std::memory_order_relaxed) != 0;
-}
-
-bool simd_compiled_in() {
-#if defined(PAPC_SIMD_X86)
-    return true;
-#else
-    return false;
-#endif
-}
-
 }  // namespace papc::support

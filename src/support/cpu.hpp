@@ -3,10 +3,11 @@
 /// \file cpu.hpp
 /// Runtime CPU-feature detection and SIMD dispatch policy (PR 7).
 ///
-/// The sync round kernels have an AVX2 gather path (sync/simd_gather.hpp)
-/// that must be selected at runtime: the same binary runs on machines with
-/// and without AVX2, and CI exercises the scalar fallback on AVX2 hardware
-/// by forcing dispatch the other way. Resolution order:
+/// The sync round kernels have an AVX2 packed-opinion gather
+/// (sync/simd_gather.hpp) that must be selected at runtime: the same
+/// binary runs on machines with and without AVX2, and CI exercises the
+/// scalar fallback on AVX2 hardware by forcing dispatch the other way.
+/// Resolution order:
 ///
 ///   1. a process-wide override installed by set_simd_override() — the
 ///      test hook the SIMD/scalar equivalence suite uses to pin both
@@ -19,11 +20,11 @@
 ///      makes AVX2 execution unsafe even when the CPU has it).
 ///
 /// Building with -DPAPC_DISABLE_SIMD (the CI -mno-avx2 job) compiles the
-/// AVX2 kernels out entirely; detection then reports scalar regardless of
+/// AVX2 kernel out entirely; detection then reports scalar regardless of
 /// the hardware, so the dispatch sites need no #ifdefs of their own.
 ///
-/// The dispatch decision never changes results: the SIMD kernels are
-/// bit-identical value gathers (pinned by tests/sync/simd_equivalence_
+/// The dispatch decision never changes results: the SIMD kernel is a
+/// bit-identical value gather (pinned by tests/sync/simd_equivalence_
 /// test.cpp), so this is a pure throughput knob.
 
 namespace papc::support {
@@ -58,15 +59,5 @@ void set_simd_override(SimdLevel level);
 
 /// Removes the override; active_simd() falls back to env + detection.
 void clear_simd_override();
-
-/// True while a set_simd_override() override is installed. Size-gated
-/// dispatch policies (sync/simd_gather.hpp's u64 gate) bypass their
-/// heuristics under an override so equivalence tests can force either
-/// path at any working-set size.
-[[nodiscard]] bool simd_override_active();
-
-/// True when the AVX2 kernels were compiled into this binary (false under
-/// -DPAPC_DISABLE_SIMD or on non-x86-64 builds).
-[[nodiscard]] bool simd_compiled_in();
 
 }  // namespace papc::support

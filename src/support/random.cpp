@@ -199,59 +199,6 @@ double Rng::lognormal(double mu, double sigma) {
     return std::exp(normal(mu, sigma));
 }
 
-std::uint64_t Rng::poisson(double mean) {
-    PAPC_CHECK(mean >= 0.0);
-    if (mean == 0.0) return 0;
-    if (mean < 30.0) {
-        // Knuth: multiply uniforms until the product drops below e^-mean.
-        const double limit = std::exp(-mean);
-        std::uint64_t count = 0;
-        double product = uniform();
-        while (product > limit) {
-            ++count;
-            product *= uniform();
-        }
-        return count;
-    }
-    // Normal approximation with resampling of negatives; adequate for the
-    // large-mean uses in this library (batching of clock ticks).
-    for (;;) {
-        const double x = normal(mean, std::sqrt(mean));
-        if (x >= 0.0) return static_cast<std::uint64_t>(x + 0.5);
-    }
-}
-
-std::uint64_t Rng::binomial(std::uint64_t n, double p) {
-    PAPC_CHECK(p >= 0.0 && p <= 1.0);
-    if (n == 0 || p == 0.0) return 0;
-    if (p == 1.0) return n;
-    if (p > 0.5) return n - binomial(n, 1.0 - p);
-    const double np = static_cast<double>(n) * p;
-    if (np < 30.0) {
-        // Inversion by sequential search over the CDF (small np only).
-        const double q = 1.0 - p;
-        const double s = p / q;
-        double f = std::pow(q, static_cast<double>(n));
-        double u = uniform();
-        std::uint64_t x = 0;
-        while (u > f && x < n) {
-            u -= f;
-            ++x;
-            f *= s * (static_cast<double>(n - x + 1) / static_cast<double>(x));
-        }
-        return x;
-    }
-    // Normal approximation with continuity correction, clamped.
-    const double sigma = std::sqrt(np * (1.0 - p));
-    for (;;) {
-        const double x = normal(np, sigma);
-        if (x >= -0.5 && x <= static_cast<double>(n) + 0.5) {
-            const double rounded = std::floor(x + 0.5);
-            return static_cast<std::uint64_t>(rounded < 0.0 ? 0.0 : rounded);
-        }
-    }
-}
-
 std::size_t Rng::discrete(const std::vector<double>& weights) {
     PAPC_CHECK(!weights.empty());
     double total = 0.0;

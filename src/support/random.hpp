@@ -143,14 +143,6 @@ public:
     /// Log-normal: exp(Normal(mu, sigma)).
     double lognormal(double mu, double sigma);
 
-    /// Poisson(mean) — Knuth multiplication for small means, PTRS-style
-    /// normal-approximation rejection fallback for large means.
-    std::uint64_t poisson(double mean);
-
-    /// Binomial(n, p) — exact by inversion for small n·p, normal
-    /// approximation with continuity correction clamped to [0, n] otherwise.
-    std::uint64_t binomial(std::uint64_t n, double p);
-
     /// Samples an index in [0, weights.size()) proportionally to weights.
     /// Linear scan; intended for small weight vectors (k opinions).
     std::size_t discrete(const std::vector<double>& weights);

@@ -14,10 +14,11 @@
 ///   1. index batch — Rng::uniform_indices fills a block of peer indices
 ///      in one tight Lemire loop (bit-identical to scalar draw order);
 ///   2. gather + decide — a Gatherer fills a kGatherStrip-node strip
-///      buffer with the sampled values (AVX2 `vpgatherqq` when the CPU
-///      has it — see sync/simd_gather.hpp — with strip s + 1's lines
-///      prefetched while strip s fills), then the decide loop reads the
-///      strip sequentially;
+///      buffer with the sampled values (packed opinions through the AVX2
+///      gather when the CPU has it — see sync/simd_gather.hpp — and
+///      Algorithm 1's u64 words by a scalar loop, with strip s + 1's
+///      lines prefetched while strip s fills), then the decide loop reads
+///      the strip sequentially;
 ///   3. fused census — count deltas accumulate inside the write loop and
 ///      are applied at commit, deleting the per-round census rescan.
 ///
@@ -113,28 +114,21 @@ inline void prefetch_gather(const T* array, const std::uint64_t* idx,
 inline constexpr std::size_t kGatherStrip = 256;
 
 /// Gatherer over a plain u64 array: out[i] = array[idx[i]] — Algorithm 1's
-/// packed (generation << 32 | opinion) state words.
+/// packed (generation << 32 | opinion) state words. A scalar loop: a
+/// `vpgatherqq` path paid only while the state array sat in L3 (1.22x
+/// rounds/s at n = 2^18, 2-5% end to end at n = 2^18-2^19), broke even
+/// at n = 2^20 and lost from DRAM (0.78x at n = 2^22); see README.md.
 struct RawGather64 {
     using Value = std::uint64_t;
 
     const std::uint64_t* array;
-    /// Whether the AVX2 path is worth taking for this array's size
-    /// (simd::u64_gather_profitable; bit-identical either way).
-    bool use_simd;
-
-    RawGather64(const std::uint64_t* a, std::size_t size)
-        : array(a), use_simd(simd::u64_gather_profitable(size * 8)) {}
 
     void prefetch(const std::uint64_t* idx, std::size_t count) const {
         prefetch_gather(array, idx, count);
     }
     void gather(const std::uint64_t* idx, std::size_t count,
                 Value* out) const {
-        if (use_simd) {
-            simd::gather_u64(array, idx, count, out);
-        } else {
-            simd::gather_u64_scalar_path(array, idx, count, out);
-        }
+        for (std::size_t i = 0; i < count; ++i) out[i] = array[idx[i]];
     }
 };
 

@@ -2,6 +2,7 @@
 
 #include "async/simulation.hpp"
 #include "cluster/simulation.hpp"
+#include "fault/plan.hpp"
 
 namespace papc {
 namespace {
@@ -25,7 +26,8 @@ TEST(Resilience, SingleLeaderFrozenEarlyStalls) {
     c.alpha_hint = 2.0;
     c.max_time = 250.0;
     c.record_series = false;
-    c.leader_failure_time = 5.0;  // frozen before the protocol finishes
+    // Frozen before the protocol finishes.
+    c.fault.scheduled_crashes = {{fault::kLeaderNode, 5.0}};
     const async::AsyncResult r = async::run_single_leader(4096, 4, 2.0, c, 1);
     EXPECT_FALSE(r.converged);
     EXPECT_GE(r.end_time, 249.0);  // ran to the cap, stalled
@@ -38,7 +40,8 @@ TEST(Resilience, SingleLeaderFrozenLateMayStillFinish) {
     c.alpha_hint = 2.0;
     c.max_time = 600.0;
     c.record_series = false;
-    c.leader_failure_time = 90.0;  // typically past the last birth
+    // Typically past the last birth.
+    c.fault.scheduled_crashes = {{fault::kLeaderNode, 90.0}};
     const async::AsyncResult r = async::run_single_leader(2048, 2, 3.0, c, 2);
     // Either outcome is legal depending on where the freeze lands; the run
     // must terminate cleanly and never crash.

@@ -56,14 +56,14 @@ TEST(RunExperiment, MissingMetricsAllowed) {
     EXPECT_DOUBLE_EQ(o.mean("never"), 0.0);
 }
 
-TEST(RunExperimentParallel, MatchesSerialOutcome) {
+TEST(RunExperimentThreaded, MatchesSerialOutcome) {
     auto trial = [](std::uint64_t seed) {
         // Deterministic function of the seed only.
         return TrialMetrics{{"v", static_cast<double>(seed % 1000)},
                             {"w", static_cast<double>(seed % 7)}};
     };
     const ExperimentOutcome serial = run_experiment(trial, 40, 11);
-    const ExperimentOutcome parallel = run_experiment_parallel(trial, 40, 11, 4);
+    const ExperimentOutcome parallel = run_experiment(trial, 40, 11, 4);
     ASSERT_EQ(serial.metrics.size(), parallel.metrics.size());
     for (const auto& [name, summary] : serial.metrics) {
         const auto& other = parallel.metrics.at(name);
@@ -75,9 +75,9 @@ TEST(RunExperimentParallel, MatchesSerialOutcome) {
     }
 }
 
-TEST(RunExperimentParallel, SingleThreadDegeneratesToSerial) {
+TEST(RunExperimentThreaded, SingleThreadDegeneratesToSerial) {
     int calls = 0;
-    const ExperimentOutcome o = run_experiment_parallel(
+    const ExperimentOutcome o = run_experiment(
         [&](std::uint64_t) {
             ++calls;
             return TrialMetrics{{"x", 1.0}};
@@ -87,8 +87,8 @@ TEST(RunExperimentParallel, SingleThreadDegeneratesToSerial) {
     EXPECT_EQ(o.count("x"), 5U);
 }
 
-TEST(RunExperimentParallel, MoreThreadsThanRepsIsSafe) {
-    const ExperimentOutcome o = run_experiment_parallel(
+TEST(RunExperimentThreaded, MoreThreadsThanRepsIsSafe) {
+    const ExperimentOutcome o = run_experiment(
         [](std::uint64_t s) {
             return TrialMetrics{{"x", static_cast<double>(s % 5)}};
         },

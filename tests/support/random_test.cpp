@@ -140,59 +140,6 @@ TEST(Rng, WeibullShapeOneIsExponential) {
     EXPECT_NEAR(s.mean(), 2.0, 0.05);
 }
 
-TEST(Rng, PoissonSmallMean) {
-    Rng rng(14);
-    RunningStat s;
-    for (int i = 0; i < 100000; ++i) {
-        s.add(static_cast<double>(rng.poisson(3.0)));
-    }
-    EXPECT_NEAR(s.mean(), 3.0, 0.05);
-    EXPECT_NEAR(s.variance(), 3.0, 0.1);
-}
-
-TEST(Rng, PoissonLargeMean) {
-    Rng rng(15);
-    RunningStat s;
-    for (int i = 0; i < 20000; ++i) {
-        s.add(static_cast<double>(rng.poisson(500.0)));
-    }
-    EXPECT_NEAR(s.mean(), 500.0, 2.0);
-}
-
-TEST(Rng, PoissonZeroMean) {
-    Rng rng(16);
-    EXPECT_EQ(rng.poisson(0.0), 0U);
-}
-
-TEST(Rng, BinomialSmall) {
-    Rng rng(17);
-    RunningStat s;
-    for (int i = 0; i < 50000; ++i) {
-        const auto x = rng.binomial(20, 0.25);
-        EXPECT_LE(x, 20U);
-        s.add(static_cast<double>(x));
-    }
-    EXPECT_NEAR(s.mean(), 5.0, 0.05);
-}
-
-TEST(Rng, BinomialLarge) {
-    Rng rng(18);
-    RunningStat s;
-    for (int i = 0; i < 20000; ++i) {
-        const auto x = rng.binomial(100000, 0.4);
-        EXPECT_LE(x, 100000U);
-        s.add(static_cast<double>(x));
-    }
-    EXPECT_NEAR(s.mean(), 40000.0, 20.0);
-}
-
-TEST(Rng, BinomialEdgeCases) {
-    Rng rng(19);
-    EXPECT_EQ(rng.binomial(0, 0.5), 0U);
-    EXPECT_EQ(rng.binomial(10, 0.0), 0U);
-    EXPECT_EQ(rng.binomial(10, 1.0), 10U);
-}
-
 TEST(Rng, DiscreteFollowsWeights) {
     Rng rng(20);
     const std::vector<double> weights{1.0, 3.0, 6.0};

@@ -73,13 +73,13 @@ Whole-program passes (need the full target set, not one file):
                           point strictly DOWN the committed layer manifest
                           (tools/papc_lint/layers.toml: support -> opinion
                           -> core -> fault -> sim -> analysis -> engines ->
-                          graph -> runner -> api -> tests/bench/examples/
-                          tools). Same-rank layers (the four engine
-                          families) may not include each other. A file not
-                          covered by the manifest is itself an L2 finding,
-                          so new directories cannot bypass the map. The
-                          manifest's [[allow]] entries whitelist individual
-                          layer edges with a mandatory reason.
+                          runner -> api -> tests/bench/examples/tools).
+                          Same-rank layers (the four engine families) may
+                          not include each other. A file not covered by the
+                          manifest is itself an L2 finding, so new
+                          directories cannot bypass the map. The manifest's
+                          [[allow]] entries whitelist individual layer
+                          edges with a mandatory reason.
   D7 substream-collision  Every Rng::substream(a, b) call site is
                           extracted across all TUs, constant labels are
                           resolved (including constexpr channel tags like
